@@ -68,6 +68,12 @@ AnswerCache::Flight AnswerCache::JoinOrLead(const Signature& sig) {
     flights_followed_.fetch_add(1, std::memory_order_relaxed);
     return flight;
   }
+  // Re-probe under the flight lock: a leader may have published and erased
+  // its flight since the lock-free probe above. CompleteFlight inserts
+  // before it takes this lock to erase, so no flight here means any answer
+  // it published is already visible.
+  flight.cached = table_.Probe(sig);
+  if (flight.cached) return flight;
   auto entry = std::make_shared<InFlight>();
   entry->future = entry->promise.get_future().share();
   inflight_.emplace(sig, std::move(entry));
@@ -80,10 +86,8 @@ void AnswerCache::CompleteFlight(const Signature& sig,
                                  std::shared_ptr<const CachedAnswer> answer) {
   if (answer) {
     // Benefit = simulated execution time saved per future hit.
-    const double benefit = answer->streamed
-                               ? answer->streaming.total_latency_ms
-                               : answer->execution.elapsed_ms;
-    table_.Insert(sig, *answer, benefit, EstimateAnswerBytes(*answer));
+    table_.Insert(sig, *answer, answer->critical_path_ms(),
+                  EstimateAnswerBytes(*answer));
   }
   std::shared_ptr<InFlight> entry;
   {
@@ -97,8 +101,7 @@ void AnswerCache::CompleteFlight(const Signature& sig,
 }
 
 void AnswerCache::Insert(const Signature& sig, CachedAnswer answer) {
-  const double benefit = answer.streamed ? answer.streaming.total_latency_ms
-                                         : answer.execution.elapsed_ms;
+  const double benefit = answer.critical_path_ms();
   const size_t bytes = EstimateAnswerBytes(answer);
   table_.Insert(sig, std::move(answer), benefit, bytes);
 }
@@ -125,17 +128,9 @@ size_t CombinationBytes(const std::vector<Combination>& combinations) {
 }  // namespace
 
 size_t EstimateAnswerBytes(const CachedAnswer& answer) {
-  size_t bytes = sizeof(CachedAnswer) + 256;
-  if (answer.streamed) {
-    bytes += CombinationBytes(answer.streaming.combinations);
-    bytes += answer.streaming.node_stats.size() * 96;
-    bytes += answer.streaming.trace.size() * 128;
-  } else {
-    bytes += CombinationBytes(answer.execution.combinations);
-    bytes += answer.execution.node_stats.size() * 96;
-    bytes += answer.execution.trace.size() * 128;
-  }
-  return bytes;
+  const RunResult& run = answer.run();
+  return sizeof(CachedAnswer) + 256 + CombinationBytes(run.combinations) +
+         run.node_stats.size() * 96 + run.trace.size() * 128;
 }
 
 }  // namespace seco

@@ -11,7 +11,6 @@
 #include "cache/memo_table.h"
 #include "cache/plan_memo.h"
 #include "cache/signature.h"
-#include "exec/engine.h"
 #include "exec/streaming.h"
 #include "reliability/policy.h"
 #include "repair/repair.h"
@@ -21,12 +20,7 @@ namespace seco {
 /// A complete served answer, stored once and shared by every warm hit.
 /// Exactly the bytes a fresh execution would have produced: `execution` for
 /// materializing requests, `streaming` for streaming ones.
-struct CachedAnswer {
-  bool streamed = false;
-  int degradation_level = 0;
-  ExecutionResult execution;
-  StreamingResult streaming;
-};
+struct CachedAnswer : RunPayload {};
 
 /// Everything besides the query text and bindings that selects an answer.
 /// Composition rules (see docs/CACHING.md):

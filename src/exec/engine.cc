@@ -2,19 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 
-#include "common/thread_pool.h"
-#include "data/predicate_fast.h"
 #include "exec/call_cache.h"
 #include "exec/call_scheduler.h"
-#include "query/semantics.h"
-#include "reliability/circuit_breaker.h"
-#include "reliability/resilient_handler.h"
 #include "repair/repair_driver.h"
 #include "service/invocation.h"
 
@@ -62,53 +56,19 @@ struct FetchOutcome {
   Status failure;
 };
 
-/// Join-group check with the allocation-free fast path for all-atomic
-/// groups (exactly equivalent to the oracle; see data/predicate_fast.h).
-Result<bool> HoldsJoinGroup(const BoundQuery& query,
-                            const BoundJoinGroup& group, const Tuple& a,
-                            const Tuple& b) {
-  if (JoinGroupAllAtomic(group)) return EvalAtomicJoinGroup(group, a, b);
-  return SatisfiesJoinGroup(query, group, a, b);
-}
-
 }  // namespace
 
 Result<ExecutionResult> ExecutionEngine::Execute(const QueryPlan& plan) {
-  switch (options_.repair.policy) {
-    case RepairPolicy::kOff:
-      return ExecuteOnce(plan, nullptr, /*force_degrade=*/false);
-    case RepairPolicy::kDegrade:
-      return ExecuteOnce(plan, nullptr, /*force_degrade=*/true);
-    default:
-      break;
-  }
-  // Failover: all rounds share one cache so chunks materialized by an
-  // abandoned round replay as free hits after replanning.
-  ServiceCallCache round_cache;
-  ServiceCallCache* cache = options_.cache ? options_.cache : &round_cache;
-  auto run = [this, cache](const QueryPlan& p) {
-    return ExecuteOnce(p, cache, /*force_degrade=*/true);
-  };
-  auto warm = [](const ExecutionResult& r, const QueryPlan& p) {
-    std::map<std::string, int64_t> warm_calls;
-    for (const auto& [id, stats] : r.node_stats) {
-      const PlanNode& node = p.node(id);
-      if (node.kind != PlanNodeKind::kServiceCall || node.iface == nullptr) {
-        continue;
-      }
-      warm_calls[node.iface->name()] += stats.calls + stats.cache_hits;
-    }
-    return warm_calls;
-  };
-  auto clock = [](const ExecutionResult& r) { return r.elapsed_ms; };
-  return RunWithRepair<ExecutionResult>(plan, options_.repair, run, warm,
-                                        clock);
+  return RunWithRepair(
+      plan, options_, &ExecutionResult::elapsed_ms,
+      [this](const QueryPlan& p, ServiceCallCache* cache, bool force_degrade) {
+        return ExecuteOnce(p, cache, force_degrade);
+      });
 }
 
 Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
     const QueryPlan& plan, ServiceCallCache* cache_override,
     bool force_degrade) {
-  auto wall_start = std::chrono::steady_clock::now();
   SECO_RETURN_IF_ERROR(plan.Validate());
   SECO_ASSIGN_OR_RETURN(std::vector<int> order, plan.TopologicalOrder());
   const BoundQuery& query = plan.query();
@@ -118,62 +78,22 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
   std::map<int, Stream> streams;  // node id -> output stream
   std::map<int, double> finish;   // node id -> simulated completion time
 
-  // Call infrastructure: a pool when concurrency was requested, and either
-  // the caller's shared cross-execution cache or a private one scoped to
-  // this execution (the historical per-execution dedup).
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  CallScheduler scheduler(pool.get());
-  scheduler.SetCancel(options_.cancel);
-  ServiceCallCache local_cache;
-  ServiceCallCache* cache = cache_override      ? cache_override
-                            : options_.cache    ? options_.cache
-                                                : &local_cache;
+  RunScaffold scaffold(options_, cache_override, force_degrade,
+                       options_.num_threads);
+  CallScheduler& scheduler = scaffold.scheduler();
+  ServiceCallCache* cache = scaffold.cache();
+  const ReliabilityPolicy& policy = scaffold.policy();
+  const bool resilient = scaffold.resilient();
   // Budget reservations; fetch jobs from any thread claim call slots here
-  // (legacy path — under a reliability policy the shared CallBudget below
-  // charges every attempt instead).
+  // (inert-policy path — under a reliability policy the scaffold's
+  // CallBudget charges every attempt instead).
   std::atomic<int> calls_issued{0};
-
-  // Effective reliability policy: the legacy `call_retries` knob maps onto
-  // the retry policy when no explicit one was configured. An inert policy
-  // leaves every code path below exactly as it was before this layer.
-  ReliabilityPolicy policy = options_.reliability;
-  if (policy.retry.max_retries == 0 && options_.call_retries > 0) {
-    policy.retry.max_retries = options_.call_retries;
-  }
-  if (force_degrade || options_.degradation_level >= 3) policy.degrade = true;
-  const bool resilient = policy.enabled();
-  CallBudget budget(resilient ? options_.max_calls : -1, options_.cancel);
-  ReliabilityLedger ledger;
-  CircuitBreakerRegistry local_breakers(policy.breaker_failure_threshold,
-                                        policy.breaker_probe_interval);
-  CircuitBreakerRegistry& breakers = options_.shared_breakers != nullptr
-                                         ? *options_.shared_breakers
-                                         : local_breakers;
-  ServiceLostCollector lost_collector;
   // Atoms whose service degraded: partial rows missing only these atoms
   // survive selections, joins, and output as flagged partial answers.
   std::set<int> degraded_atoms;
   // Reliability overhead consumed so far, in deterministic accounting
   // order; feeds the query-deadline check and the final stats.
   double overhead_consumed_ms = 0.0;
-
-  // Classifies a join-group endpoint pair: 0 = both tuples present
-  // (evaluate the clause), 1 = a tuple is missing because its atom
-  // degraded (skip the clause, keep the row), -1 = missing for structural
-  // reasons (drop the row, the historical behavior).
-  auto join_endpoints = [&degraded_atoms](const Row& row, int a, int b) {
-    bool missing_a = !row.tuples[a].has_value();
-    bool missing_b = !row.tuples[b].has_value();
-    if (!missing_a && !missing_b) return 0;
-    if ((missing_a && degraded_atoms.count(a) > 0) ||
-        (missing_b && degraded_atoms.count(b) > 0)) {
-      return 1;
-    }
-    return -1;
-  };
 
   for (int id : order) {
     // Node boundary: the deterministic cancellation point. A cancelled run
@@ -201,7 +121,6 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
         const Stream& in = streams[node.inputs[0]];
         Stream out;
         const ServiceInterface& iface = *node.iface;
-        const AccessPattern& pattern = iface.pattern();
 
         // Pass 1 — bind inputs (pure CPU, no calls): compute each row's
         // input bindings and list the distinct ones in first-appearance
@@ -215,81 +134,14 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
         // bound (the degradation cascades down the pipe).
         std::vector<char> row_unbindable(in.size(), 0);
         for (size_t row_idx = 0; row_idx < in.size(); ++row_idx) {
-          const Row& row = in[row_idx];
-          // Candidate values per input path (multiple when piped from a
-          // repeating-group sub-attribute).
-          std::vector<std::vector<Value>> candidates;
-          for (const AttrPath& in_path : pattern.input_paths()) {
-            std::vector<Value> values;
-            bool provider_degraded = false;
-            // Constant / INPUT bindings.
-            for (int sel_idx : node.input_selections) {
-              const BoundSelection& sel = query.selections[sel_idx];
-              if (sel.atom == node.atom && sel.path == in_path) {
-                SECO_ASSIGN_OR_RETURN(
-                    Value v,
-                    query.ResolveSelectionValue(sel, options_.input_bindings));
-                values.push_back(std::move(v));
-              }
-            }
-            // Piped bindings.
-            if (values.empty()) {
-              for (int group_idx : node.pipe_groups) {
-                for (const JoinClause& clause : query.joins[group_idx].clauses) {
-                  int provider = -1;
-                  AttrPath provider_path;
-                  if (clause.to_atom == node.atom && clause.to_path == in_path) {
-                    provider = clause.from_atom;
-                    provider_path = clause.from_path;
-                  } else if (clause.from_atom == node.atom &&
-                             clause.from_path == in_path) {
-                    provider = clause.to_atom;
-                    provider_path = clause.to_path;
-                  }
-                  if (provider < 0) continue;
-                  if (!row.tuples[provider].has_value()) {
-                    if (degraded_atoms.count(provider) > 0) {
-                      provider_degraded = true;
-                    }
-                    continue;
-                  }
-                  row.tuples[provider]->ForEachCandidateAt(
-                      provider_path, [&values](const Value& v) {
-                        values.push_back(v);
-                        return true;
-                      });
-                }
-                if (!values.empty()) break;
-              }
-            }
-            if (values.empty()) {
-              if (provider_degraded) {
-                row_unbindable[row_idx] = 1;
-                break;
-              }
-              return Status::Internal("engine: unbound input " +
-                                      iface.schema().PathToString(in_path) +
-                                      " of service " + iface.name());
-            }
-            candidates.push_back(std::move(values));
+          SECO_ASSIGN_OR_RETURN(
+              std::vector<std::vector<Value>> bindings,
+              NodeInputBindings(query, node, in[row_idx].tuples,
+                                options_.input_bindings, degraded_atoms));
+          if (bindings.empty()) {
+            row_unbindable[row_idx] = 1;
+            continue;
           }
-          if (row_unbindable[row_idx]) continue;
-
-          // Enumerate distinct input bindings (cross product of candidates).
-          std::vector<std::vector<Value>> bindings;
-          bindings.emplace_back();
-          for (const std::vector<Value>& values : candidates) {
-            std::vector<std::vector<Value>> next;
-            for (const std::vector<Value>& prefix : bindings) {
-              for (const Value& v : values) {
-                std::vector<Value> extended = prefix;
-                extended.push_back(v);
-                next.push_back(std::move(extended));
-              }
-            }
-            bindings = std::move(next);
-          }
-
           for (std::vector<Value>& binding : bindings) {
             std::string key = SerializeBinding(binding);
             auto [it, inserted] =
@@ -305,19 +157,8 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
 
         // Reliability wrapper for this node's handler: retry / deadline /
         // breaker / hedging behavior shared by every fetch job below.
-        std::shared_ptr<ServiceCallHandler> node_handler = iface.handler_ptr();
-        if (resilient) {
-          ReliabilityContext ctx;
-          ctx.policy = policy;
-          ctx.budget = &budget;
-          ctx.ledger = &ledger;
-          ctx.breakers = &breakers;
-          ctx.hedge_pool = pool.get();
-          ctx.lost = &lost_collector;
-          ctx.cancel = options_.cancel;
-          node_handler = std::make_shared<ResilientHandler>(
-              std::move(node_handler), iface.name(), ctx);
-        }
+        std::shared_ptr<ServiceCallHandler> node_handler =
+            scaffold.Handler(iface);
 
         // Query deadline, checked at the deterministic node boundary: the
         // node would start at simulated time `ready_ms`, after
@@ -467,7 +308,6 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
             d.cascaded = failed_direct == 0;
             d.query_deadline = node_past_deadline;
             result.degraded.push_back(std::move(d));
-            result.complete = false;
           }
         }
 
@@ -492,24 +332,9 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
               // Verify the pipe-join groups on the composed row (covers
               // clauses beyond the input binding and the repeating-group
               // single-instance rule).
-              bool ok = true;
-              for (int group_idx : node.pipe_groups) {
-                const BoundJoinGroup& group = query.joins[group_idx];
-                const JoinClause& first = group.clauses[0];
-                int a = first.from_atom, b = first.to_atom;
-                if (!extended.tuples[a].has_value() ||
-                    !extended.tuples[b].has_value()) {
-                  continue;
-                }
-                SECO_ASSIGN_OR_RETURN(
-                    bool holds,
-                    HoldsJoinGroup(query, group, *extended.tuples[a],
-                                   *extended.tuples[b]));
-                if (!holds) {
-                  ok = false;
-                  break;
-                }
-              }
+              SECO_ASSIGN_OR_RETURN(
+                  bool ok,
+                  PipeGroupsHold(query, node.pipe_groups, extended.tuples));
               if (!ok) continue;
               out.push_back(std::move(extended));
               ++kept_for_row;
@@ -532,54 +357,11 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
       case PlanNodeKind::kSelection: {
         const Stream& in = streams[node.inputs[0]];
         Stream out;
-        // Atoms whose selections this node re-checks (jointly per atom).
-        std::vector<int> atoms_to_check;
-        for (int sel_idx : node.selections) {
-          int atom = query.selections[sel_idx].atom;
-          if (std::find(atoms_to_check.begin(), atoms_to_check.end(), atom) ==
-              atoms_to_check.end()) {
-            atoms_to_check.push_back(atom);
-          }
-        }
+        const std::vector<int> atoms = SelectionAtoms(query, node);
         for (const Row& row : in) {
-          bool ok = true;
-          for (int atom : atoms_to_check) {
-            if (!row.tuples[atom].has_value()) {
-              // A missing degraded atom has no tuple to check; keep the
-              // partial row rather than silently dropping it.
-              if (degraded_atoms.count(atom) > 0) continue;
-              ok = false;
-              break;
-            }
-            SECO_ASSIGN_OR_RETURN(
-                bool holds, SatisfiesSelections(query, atom, *row.tuples[atom],
-                                                options_.input_bindings));
-            if (!holds) {
-              ok = false;
-              break;
-            }
-          }
-          if (ok) {
-            for (int group_idx : node.residual_join_groups) {
-              const BoundJoinGroup& group = query.joins[group_idx];
-              const JoinClause& first = group.clauses[0];
-              int a = first.from_atom, b = first.to_atom;
-              int cls = join_endpoints(row, a, b);
-              if (cls == 1) continue;  // endpoint degraded: unverifiable
-              if (cls < 0) {
-                ok = false;
-                break;
-              }
-              SECO_ASSIGN_OR_RETURN(bool holds,
-                                    HoldsJoinGroup(query, group,
-                                                   *row.tuples[a],
-                                                   *row.tuples[b]));
-              if (!holds) {
-                ok = false;
-                break;
-              }
-            }
-          }
+          SECO_ASSIGN_OR_RETURN(
+              bool ok, SelectionHolds(query, node, atoms, row.tuples,
+                                      options_.input_bindings, degraded_atoms));
           if (ok) out.push_back(row);
         }
         streams[id] = std::move(out);
@@ -658,25 +440,9 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
           (void)upstream_row;
           // Evaluate the node's join groups.
           for (Row& row : partial) {
-            bool ok = true;
-            for (int group_idx : node.join_groups) {
-              const BoundJoinGroup& group = query.joins[group_idx];
-              const JoinClause& first = group.clauses[0];
-              int a = first.from_atom, b = first.to_atom;
-              int cls = join_endpoints(row, a, b);
-              if (cls == 1) continue;  // endpoint degraded: unverifiable
-              if (cls < 0) {
-                ok = false;
-                break;
-              }
-              SECO_ASSIGN_OR_RETURN(
-                  bool holds, HoldsJoinGroup(query, group, *row.tuples[a],
-                                             *row.tuples[b]));
-              if (!holds) {
-                ok = false;
-                break;
-              }
-            }
+            SECO_ASSIGN_OR_RETURN(bool ok,
+                                  JoinGroupsHold(query, node.join_groups,
+                                                 row.tuples, degraded_atoms));
             if (ok) out.push_back(std::move(row));
           }
         }
@@ -690,30 +456,10 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
         result.total_combinations_produced = static_cast<int>(in.size());
         for (const Row& row : in) {
           Combination combo;
-          combo.components.reserve(num_atoms);
-          combo.component_scores.reserve(num_atoms);
-          double total = 0.0;
-          bool viable = true;
-          for (int a = 0; a < num_atoms; ++a) {
-            if (!row.tuples[a].has_value()) {
-              // Partial answers survive only when every hole traces back to
-              // a degraded service; structurally incomplete rows still drop.
-              if (degraded_atoms.count(a) == 0) {
-                viable = false;
-                break;
-              }
-              combo.components.emplace_back();
-              combo.component_scores.push_back(0.0);
-              combo.missing_atoms.push_back(a);
-              continue;
-            }
-            combo.components.push_back(*row.tuples[a]);
-            combo.component_scores.push_back(row.scores[a]);
-            total += weights[a] * row.scores[a];
+          if (AssembleCombination(row.tuples, row.scores, weights,
+                                  degraded_atoms, &combo)) {
+            result.combinations.push_back(std::move(combo));
           }
-          if (!viable) continue;
-          combo.combined_score = total;
-          result.combinations.push_back(std::move(combo));
         }
         std::stable_sort(result.combinations.begin(), result.combinations.end(),
                          [](const Combination& a, const Combination& b) {
@@ -734,18 +480,7 @@ Result<ExecutionResult> ExecutionEngine::ExecuteOnce(
     finish[id] = stats.finished_at_ms;
     result.elapsed_ms = std::max(result.elapsed_ms, finish[id]);
   }
-  if (resilient) {
-    result.reliability = ledger.Snapshot();
-    result.reliability.overhead_ms = overhead_consumed_ms;
-    result.reliability.breakers = breakers.States();
-    result.reliability.services_lost = lost_collector.Snapshot();
-    result.open_breakers = breakers.OpenBreakers();
-  }
-  result.degradation_level = options_.degradation_level;
-  result.wall_clock_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
+  scaffold.Finish(overhead_consumed_ms, &result);
   return result;
 }
 

@@ -1,135 +1,27 @@
 #ifndef SECO_EXEC_ENGINE_H_
 #define SECO_EXEC_ENGINE_H_
 
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "common/cancel.h"
 #include "common/result.h"
+#include "exec/run.h"
 #include "plan/plan.h"
-#include "reliability/policy.h"
-#include "repair/repair.h"
-#include "service/tuple.h"
 
 namespace seco {
 
-class ServiceCallCache;
-class CircuitBreakerRegistry;
-
-/// Options of one plan execution.
-struct ExecutionOptions {
-  /// Number of answer combinations to return.
-  int k = 10;
-  /// Values for the query's INPUT variables.
-  std::map<std::string, Value> input_bindings;
-  /// Safety budget on total service calls. Under a reliability policy every
-  /// delivery *attempt* (first try, retry, hedge) counts against it.
-  int max_calls = 10000;
-  /// Retries per failing service call before the execution aborts. Legacy
-  /// knob: mapped onto `reliability.retry.max_retries` when the latter is 0.
-  int call_retries = 0;
+/// Options of one materializing execution: the common `RunOptions` plus
+/// what only this engine reads.
+struct ExecutionOptions : RunOptions {
   /// When false, all produced combinations are returned (not just k).
   bool truncate_to_k = true;
-  /// When true, every service call is recorded in ExecutionResult::trace.
-  bool collect_trace = false;
-  /// Worker threads for the service-call fan-out: the distinct input
-  /// bindings of each service node fetch concurrently (parallel-join
-  /// branches overlap through their nodes' fan-outs). Results are collected
-  /// by task index, so any value yields bit-identical output; 1 (default)
-  /// is the historical fully sequential behavior.
-  int num_threads = 1;
-  /// Service-call cache. nullptr (default) = a fresh private cache per
-  /// execution, reproducing the historical per-execution dedup; point at
-  /// `ServiceCallCache::Process()` (or any shared instance) to let repeated
-  /// queries across sessions hit warm entries. Not owned.
-  ServiceCallCache* cache = nullptr;
-  /// Retry / deadline / breaker / hedging / degradation policy (see
-  /// docs/RELIABILITY.md). The default policy is inert and preserves the
-  /// historical behavior bit-for-bit.
-  ReliabilityPolicy reliability;
-  /// Plan-repair policy: what to do when a service is permanently lost
-  /// (docs/RELIABILITY.md, "Failover & plan repair"). The failover policies
-  /// need `repair.registry`; all repair policies force degradation on for
-  /// the individual rounds so losses are observed deterministically.
-  RepairOptions repair;
-  /// Externally-imposed degradation level from the serving layer's ladder
-  /// (docs/SERVER.md). 0 (default) = full quality. The materializing engine
-  /// reacts at level >= 3 by forcing `reliability.degrade` on, so permanent
-  /// losses yield partial answers instead of failing the query; levels 1-2
-  /// (speculation / k+budget cuts) are applied by the caller before Execute.
-  /// The level is echoed into `ExecutionResult::degradation_level`.
-  int degradation_level = 0;
-  /// Cross-query circuit-breaker registry (e.g. a `QueryServer`'s). When
-  /// null (default) each execution gets a private registry — the historical
-  /// behavior. Sharing lets breaker state persist across queries, so one
-  /// query's failures shield the next, and gives the serving layer a live
-  /// per-interface health feed. Must outlive the execution. Not owned.
-  CircuitBreakerRegistry* shared_breakers = nullptr;
-  /// Cooperative cancellation token (docs/SERVER.md, "Cancellation"). The
-  /// engine polls it at node and chunk boundaries and aborts the run with
-  /// kCancelled; pool jobs not yet started are skipped. null = never
-  /// cancellable (the historical behavior).
-  std::shared_ptr<CancelToken> cancel;
-};
-
-/// One recorded service request-response (when tracing is enabled).
-struct CallEvent {
-  int node = -1;            ///< plan node that issued the call
-  std::string service;      ///< interface name
-  std::string binding_key;  ///< serialized input values
-  int chunk_index = 0;
-  double latency_ms = 0.0;
-};
-
-/// Per-node runtime counters.
-struct NodeRuntimeStats {
-  int calls = 0;
-  double latency_ms = 0.0;   ///< sum of this node's call latencies
-  int tuples_out = 0;
-  double finished_at_ms = 0.0;  ///< simulated completion time of the node
-  int cache_hits = 0;  ///< request-responses served from the call cache
 };
 
 /// The outcome of executing a fully instantiated plan.
-struct ExecutionResult {
-  /// Combinations in decreasing combined score (approximate global ranking:
-  /// plans without top-k join methods do not guarantee the true top-k).
-  std::vector<Combination> combinations;
-  int total_calls = 0;
+struct ExecutionResult : RunResult {
   /// Simulated wall-clock: per-path max of node latencies (parallel
   /// branches overlap; calls within one node are sequential).
   double elapsed_ms = 0.0;
   /// Sum of every call's latency (the fully sequential time).
   double total_latency_ms = 0.0;
   int total_combinations_produced = 0;
-  /// Request-responses served from the call cache / issued to services.
-  int cache_hits = 0;
-  int cache_misses = 0;
-  /// Measured real wall-clock duration of Execute(), in milliseconds —
-  /// distinct from the *simulated* `elapsed_ms` (see docs/CONCURRENCY.md).
-  double wall_clock_ms = 0.0;
-  std::map<int, NodeRuntimeStats> node_stats;
-  /// Chronological call log; empty unless `ExecutionOptions::collect_trace`.
-  std::vector<CallEvent> trace;
-  /// Retry / hedge / breaker / deadline telemetry (zero when the policy is
-  /// inert).
-  ReliabilityStats reliability;
-  /// Plan nodes that lost data to permanent service failures; empty unless
-  /// `ReliabilityPolicy::degrade` allowed a partial answer.
-  std::vector<DegradedStatus> degraded;
-  /// Interfaces whose circuit breaker ended the run open.
-  std::vector<std::string> open_breakers;
-  /// Replanning telemetry; inert (`!any()`) unless a repair policy was set
-  /// and a service was actually lost.
-  RepairStats repair;
-  /// False when any node degraded: `combinations` may then contain partial
-  /// combinations (see `Combination::missing_atoms`).
-  bool complete = true;
-  /// The `ExecutionOptions::degradation_level` this run was executed under,
-  /// echoed so multi-query ledgers can attribute quality loss per query.
-  int degradation_level = 0;
 };
 
 /// Dataflow interpreter for query plans (§3.2): walks the DAG in
@@ -161,12 +53,8 @@ class ExecutionEngine {
   Result<ExecutionResult> Execute(const QueryPlan& plan);
 
  private:
-  /// One plan execution round. `cache_override` (when non-null) takes
-  /// precedence over `options_.cache` — the repair loop threads one cache
-  /// through all rounds so abandoned prefixes replay as hits.
-  /// `force_degrade` turns degradation on regardless of the reliability
-  /// policy, so a lost service surfaces as `DegradedStatus` instead of
-  /// aborting the round.
+  /// One plan execution round of `RunWithRepair`; `cache_override` and
+  /// `force_degrade` are as in `RunScaffold`.
   Result<ExecutionResult> ExecuteOnce(const QueryPlan& plan,
                                       ServiceCallCache* cache_override,
                                       bool force_degrade);

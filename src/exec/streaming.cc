@@ -1,7 +1,6 @@
 #include "exec/streaming.h"
 
 #include <algorithm>
-#include <chrono>
 #include <future>
 #include <memory>
 #include <optional>
@@ -10,15 +9,10 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "data/column_chunk.h"
 #include "data/kernels.h"
-#include "data/predicate_fast.h"
 #include "exec/call_cache.h"
 #include "exec/call_scheduler.h"
-#include "query/semantics.h"
-#include "reliability/circuit_breaker.h"
-#include "reliability/resilient_handler.h"
 #include "repair/repair_driver.h"
 #include "service/invocation.h"
 
@@ -73,8 +67,7 @@ struct RunState {
   /// Effective policy; `resilient` caches `policy.enabled()`.
   ReliabilityPolicy policy;
   bool resilient = false;
-  /// Per-service-node resilient wrappers (retry/deadline/breaker/hedging);
-  /// raw handlers are used when the policy is inert.
+  /// Per-service-node handlers, decorated by the run scaffold.
   std::map<int, std::shared_ptr<ServiceCallHandler>> handlers;
   /// Atoms whose service degraded; partial rows missing only these atoms
   /// survive selections, joins, and output as flagged partial answers.
@@ -88,8 +81,7 @@ struct RunState {
   ColumnarStats columnar;
 
   ServiceCallHandler* HandlerFor(const PlanNode& node) const {
-    auto it = handlers.find(node.id);
-    return it != handlers.end() ? it->second.get() : node.iface->handler();
+    return handlers.at(node.id).get();
   }
 
   bool PastQueryDeadline() const {
@@ -134,29 +126,6 @@ struct RunState {
     return charged_calls + static_cast<int>(inflight.size());
   }
 };
-
-/// Classifies a predicate over atoms `a` and `b` of a row that may be
-/// partially bound: 0 = both present (evaluate it), 1 = data missing but
-/// only from degraded services (skip the predicate, keep the row),
-/// -1 = data missing for a non-degraded reason (drop the row).
-int ClassifyEndpoints(const SRow& row, int a, int b, const RunState& state) {
-  int cls = 0;
-  for (int atom : {a, b}) {
-    if (row.tuples[atom].has_value()) continue;
-    if (state.degraded_atoms.count(atom) == 0) return -1;
-    cls = 1;
-  }
-  return cls;
-}
-
-/// Join-group check with the allocation-free fast path for all-atomic
-/// groups (exactly equivalent to the oracle; see data/predicate_fast.h).
-Result<bool> HoldsJoinGroup(const BoundQuery& query,
-                            const BoundJoinGroup& group, const Tuple& a,
-                            const Tuple& b) {
-  if (JoinGroupAllAtomic(group)) return EvalAtomicJoinGroup(group, a, b);
-  return SatisfiesJoinGroup(query, group, a, b);
-}
 
 /// Lazily-fetched, cached result list for one (service, binding) pair.
 struct CacheEntry {
@@ -386,75 +355,13 @@ Status EnsureItem(const PlanNode& node, const std::string& binding_key,
   return Status::OK();
 }
 
-/// Enumerates the distinct input bindings a service node derives from one
-/// upstream row: constants / INPUT variables from the node's selections,
-/// then piped values from upstream tuples, cross-producted per input path.
-/// Returns an *empty* vector — no bindings, not an error — when an input
-/// can only pipe from an atom a degraded service never produced: the caller
-/// then cascades the degradation instead of aborting.
+/// The distinct input bindings `node` derives from one pulled row; empty
+/// when an input can only pipe from a degraded service.
 Result<std::vector<std::vector<Value>>> ComputeNodeBindings(
-    const PlanNode& node, const SRow& pulled, RunState* state) {
-  std::vector<std::vector<Value>> bindings;
-  bindings.emplace_back();
-  const BoundQuery& query = *state->query;
-  const AccessPattern& pattern = node.iface->pattern();
-  for (const AttrPath& in_path : pattern.input_paths()) {
-    std::vector<Value> values;
-    bool provider_degraded = false;
-    for (int sel_idx : node.input_selections) {
-      const BoundSelection& sel = query.selections[sel_idx];
-      if (sel.atom == node.atom && sel.path == in_path) {
-        SECO_ASSIGN_OR_RETURN(
-            Value v,
-            query.ResolveSelectionValue(sel, state->options->input_bindings));
-        values.push_back(std::move(v));
-      }
-    }
-    if (values.empty()) {
-      for (int group_idx : node.pipe_groups) {
-        for (const JoinClause& clause : query.joins[group_idx].clauses) {
-          int provider = -1;
-          AttrPath provider_path;
-          if (clause.to_atom == node.atom && clause.to_path == in_path) {
-            provider = clause.from_atom;
-            provider_path = clause.from_path;
-          } else if (clause.from_atom == node.atom &&
-                     clause.from_path == in_path) {
-            provider = clause.to_atom;
-            provider_path = clause.to_path;
-          }
-          if (provider < 0) continue;
-          if (!pulled.tuples[provider].has_value()) {
-            if (state->degraded_atoms.count(provider) > 0) {
-              provider_degraded = true;
-            }
-            continue;
-          }
-          pulled.tuples[provider]->ForEachCandidateAt(
-              provider_path, [&values](const Value& v) {
-                values.push_back(v);
-                return true;
-              });
-        }
-        if (!values.empty()) break;
-      }
-    }
-    if (values.empty()) {
-      if (provider_degraded) return std::vector<std::vector<Value>>{};
-      return Status::Internal("streaming engine: unbound input " +
-                              node.iface->schema().PathToString(in_path));
-    }
-    std::vector<std::vector<Value>> next;
-    for (const std::vector<Value>& prefix : bindings) {
-      for (const Value& v : values) {
-        std::vector<Value> extended = prefix;
-        extended.push_back(v);
-        next.push_back(std::move(extended));
-      }
-    }
-    bindings = std::move(next);
-  }
-  return bindings;
+    const PlanNode& node, const SRow& pulled, const RunState* state) {
+  return NodeInputBindings(*state->query, node, pulled.tuples,
+                           state->options->input_bindings,
+                           state->degraded_atoms);
 }
 
 /// Row-driven speculation: a freshly pulled row already fixes the bindings
@@ -605,7 +512,10 @@ class ServiceCallOp : public Op {
         extended.tuples[node_->atom] = item.tuple;
         extended.scores[node_->atom] = item.score;
         extended.chunk_ord = item.chunk_ord;
-        SECO_ASSIGN_OR_RETURN(bool pipe_ok, VerifyPipeGroups(extended));
+        SECO_ASSIGN_OR_RETURN(
+            bool pipe_ok,
+            PipeGroupsHold(*state_->query, node_->pipe_groups,
+                           extended.tuples));
         if (!pipe_ok) continue;
         ++kept_;
         ++state_->node_stats[node_->id].tuples_out;
@@ -627,23 +537,6 @@ class ServiceCallOp : public Op {
   }
 
  private:
-  Result<bool> VerifyPipeGroups(const SRow& extended) {
-    const BoundQuery& query = *state_->query;
-    for (int group_idx : node_->pipe_groups) {
-      const BoundJoinGroup& group = query.joins[group_idx];
-      const JoinClause& first = group.clauses[0];
-      int a = first.from_atom, b = first.to_atom;
-      if (!extended.tuples[a].has_value() || !extended.tuples[b].has_value()) {
-        continue;
-      }
-      SECO_ASSIGN_OR_RETURN(bool holds,
-                            HoldsJoinGroup(query, group, *extended.tuples[a],
-                                           *extended.tuples[b]));
-      if (!holds) return false;
-    }
-    return true;
-  }
-
   std::unique_ptr<Op> upstream_;
   const PlanNode* node_;
   RunState* state_;
@@ -663,58 +556,18 @@ class SelectionOp : public Op {
  public:
   SelectionOp(std::unique_ptr<Op> upstream, const PlanNode* node,
               RunState* state)
-      : upstream_(std::move(upstream)), node_(node), state_(state) {
-    for (int sel_idx : node_->selections) {
-      int atom = state_->query->selections[sel_idx].atom;
-      if (std::find(atoms_.begin(), atoms_.end(), atom) == atoms_.end()) {
-        atoms_.push_back(atom);
-      }
-    }
-  }
+      : upstream_(std::move(upstream)), node_(node), state_(state),
+        atoms_(SelectionAtoms(*state->query, *node)) {}
 
   Result<bool> Next(SRow* row) override {
-    const BoundQuery& query = *state_->query;
     while (true) {
       SRow pulled;
       SECO_ASSIGN_OR_RETURN(bool got, upstream_->Next(&pulled));
       if (!got) return false;
-      bool ok = true;
-      for (int atom : atoms_) {
-        if (!pulled.tuples[atom].has_value()) {
-          // A degraded service never produced this atom; its selections
-          // cannot be evaluated, but the partial row stays alive.
-          if (state_->degraded_atoms.count(atom) > 0) continue;
-          ok = false;
-          break;
-        }
-        SECO_ASSIGN_OR_RETURN(
-            bool holds, SatisfiesSelections(query, atom, *pulled.tuples[atom],
-                                            state_->options->input_bindings));
-        if (!holds) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        for (int group_idx : node_->residual_join_groups) {
-          const BoundJoinGroup& group = query.joins[group_idx];
-          const JoinClause& first = group.clauses[0];
-          int a = first.from_atom, b = first.to_atom;
-          int cls = ClassifyEndpoints(pulled, a, b, *state_);
-          if (cls == 1) continue;  // degraded endpoint: predicate skipped
-          if (cls < 0) {
-            ok = false;
-            break;
-          }
-          SECO_ASSIGN_OR_RETURN(bool holds,
-                                HoldsJoinGroup(query, group, *pulled.tuples[a],
-                                               *pulled.tuples[b]));
-          if (!holds) {
-            ok = false;
-            break;
-          }
-        }
-      }
+      SECO_ASSIGN_OR_RETURN(
+          bool ok, SelectionHolds(*state_->query, *node_, atoms_, pulled.tuples,
+                                  state_->options->input_bindings,
+                                  state_->degraded_atoms));
       if (ok) {
         ++state_->node_stats[node_->id].tuples_out;
         *row = std::move(pulled);
@@ -840,26 +693,9 @@ class JoinOp : public Op {
                 merged.scores[a] = last_row_.scores[a];
               }
             }
-            bool ok = true;
-            for (int group_idx : node_->join_groups) {
-              const BoundJoinGroup& group = query.joins[group_idx];
-              const JoinClause& first = group.clauses[0];
-              int a = first.from_atom, b = first.to_atom;
-              int cls = ClassifyEndpoints(merged, a, b, *state_);
-              if (cls == 1) continue;  // degraded endpoint: predicate skipped
-              if (cls < 0) {
-                ok = false;
-                break;
-              }
-              SECO_ASSIGN_OR_RETURN(bool holds,
-                                    HoldsJoinGroup(query, group,
-                                                   *merged.tuples[a],
-                                                   *merged.tuples[b]));
-              if (!holds) {
-                ok = false;
-                break;
-              }
-            }
+            SECO_ASSIGN_OR_RETURN(
+                bool ok, JoinGroupsHold(query, node_->join_groups,
+                                        merged.tuples, state_->degraded_atoms));
             if (ok) {
               ++state_->node_stats[node_->id].tuples_out;
               *row = std::move(merged);
@@ -1083,46 +919,18 @@ Result<std::unique_ptr<Op>> BuildOp(const QueryPlan& plan, int node_id,
 
 Result<StreamingResult> StreamingEngine::Execute(const QueryPlan& plan) {
   // An externally-imposed degradation level (docs/SERVER.md) only removes
-  // work: level >= 1 drops speculation, level >= 3 allows partial answers.
+  // work: level >= 1 drops speculation (the scaffold applies level >= 3).
   if (options_.degradation_level >= 1) options_.prefetch_depth = 0;
-  if (options_.degradation_level >= 3) options_.reliability.degrade = true;
-  switch (options_.repair.policy) {
-    case RepairPolicy::kOff:
-      return ExecuteOnce(plan, nullptr, /*force_degrade=*/false);
-    case RepairPolicy::kDegrade:
-      return ExecuteOnce(plan, nullptr, /*force_degrade=*/true);
-    default:
-      break;
-  }
-  // Failover: all rounds share one cache so chunks materialized by an
-  // abandoned round replay as free hits after replanning. (Wasted
-  // speculation of earlier rounds also lands in this cache, so repaired
-  // runs compare on combinations, not call counts, across prefetch depths.)
-  ServiceCallCache round_cache;
-  ServiceCallCache* cache = options_.cache ? options_.cache : &round_cache;
-  auto run = [this, cache](const QueryPlan& p) {
-    return ExecuteOnce(p, cache, /*force_degrade=*/true);
-  };
-  auto warm = [](const StreamingResult& r, const QueryPlan& p) {
-    std::map<std::string, int64_t> warm_calls;
-    for (const auto& [id, stats] : r.node_stats) {
-      const PlanNode& node = p.node(id);
-      if (node.kind != PlanNodeKind::kServiceCall || node.iface == nullptr) {
-        continue;
-      }
-      warm_calls[node.iface->name()] += stats.calls + stats.cache_hits;
-    }
-    return warm_calls;
-  };
-  auto clock = [](const StreamingResult& r) { return r.total_latency_ms; };
-  return RunWithRepair<StreamingResult>(plan, options_.repair, run, warm,
-                                        clock);
+  return RunWithRepair(
+      plan, options_, &StreamingResult::total_latency_ms,
+      [this](const QueryPlan& p, ServiceCallCache* cache, bool force_degrade) {
+        return ExecuteOnce(p, cache, force_degrade);
+      });
 }
 
 Result<StreamingResult> StreamingEngine::ExecuteOnce(
     const QueryPlan& plan, ServiceCallCache* cache_override,
     bool force_degrade) {
-  auto wall_start = std::chrono::steady_clock::now();
   SECO_RETURN_IF_ERROR(plan.Validate());
   if (options_.interrupt != nullptr) options_.interrupt->Reset();
   // Link the sticky cancel token to the (resettable) pacing flag so a
@@ -1133,64 +941,31 @@ Result<StreamingResult> StreamingEngine::ExecuteOnce(
     options_.cancel->LinkInterrupt(options_.interrupt);
   }
 
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.num_threads > 1 && options_.prefetch_depth > 0) {
-    pool = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  CallScheduler scheduler(pool.get());
-  scheduler.SetCancel(options_.cancel);
-  ServiceCallCache local_cache;
-
+  // The pool exists only to speculate on.
+  RunScaffold scaffold(options_, cache_override, force_degrade,
+                       options_.prefetch_depth > 0 ? options_.num_threads : 1,
+                       options_.interrupt);
   RunState state;
   state.query = &plan.query();
   state.options = &options_;
-  state.cache = cache_override != nullptr  ? cache_override
-                : options_.cache != nullptr ? options_.cache
-                                            : &local_cache;
-  state.scheduler = &scheduler;
-  state.speculate = scheduler.concurrent() && options_.prefetch_depth > 0;
-  state.policy = options_.reliability;
-  if (force_degrade) state.policy.degrade = true;
-  state.resilient = state.policy.enabled();
-  // Attempt-level budget (every delivery attempt, demand or speculative,
-  // claims a slot) plus the shared telemetry/breaker state. Only built when
-  // the policy is live: the inert path keeps the historical charged-calls
-  // guards and raw handlers, bit-for-bit.
-  CallBudget budget(state.resilient ? options_.max_calls : -1,
-                    options_.cancel);
-  ReliabilityLedger ledger;
-  CircuitBreakerRegistry local_breakers(state.policy.breaker_failure_threshold,
-                                        state.policy.breaker_probe_interval);
-  CircuitBreakerRegistry& breakers = options_.shared_breakers != nullptr
-                                         ? *options_.shared_breakers
-                                         : local_breakers;
-  ServiceLostCollector lost_collector;
-  SECO_ASSIGN_OR_RETURN(std::vector<int> speculation_order,
-                        plan.TopologicalOrder());
-  for (int id : speculation_order) {
+  state.cache = scaffold.cache();
+  state.scheduler = &scaffold.scheduler();
+  state.speculate =
+      scaffold.scheduler().concurrent() && options_.prefetch_depth > 0;
+  state.policy = scaffold.policy();
+  state.resilient = scaffold.resilient();
+  SECO_ASSIGN_OR_RETURN(std::vector<int> order, plan.TopologicalOrder());
+  for (int id : order) {
     const PlanNode& node = plan.node(id);
     if (node.kind == PlanNodeKind::kServiceCall && node.iface) {
       state.service_nodes.push_back(&node);
-      if (state.resilient) {
-        ReliabilityContext ctx;
-        ctx.policy = state.policy;
-        ctx.budget = &budget;
-        ctx.ledger = &ledger;
-        ctx.breakers = &breakers;
-        ctx.hedge_pool = pool.get();
-        ctx.interrupt = options_.interrupt;
-        ctx.lost = &lost_collector;
-        ctx.cancel = options_.cancel;
-        state.handlers[node.id] = std::make_shared<ResilientHandler>(
-            node.iface->handler_ptr(), node.iface->name(), std::move(ctx));
-      }
+      state.handlers[node.id] = scaffold.Handler(*node.iface);
     }
   }
   std::map<int, FetchCache> caches;
 
   StreamingResult result;
   std::vector<double> weights = plan.query().EffectiveWeights();
-  int num_atoms = static_cast<int>(plan.query().atoms.size());
 
   Status run_status = [&]() -> Status {
     SECO_ASSIGN_OR_RETURN(std::unique_ptr<Op> root,
@@ -1209,43 +984,23 @@ Result<StreamingResult> StreamingEngine::ExecuteOnce(
         break;
       }
       Combination combo;
-      bool viable = true;
-      double total = 0.0;
-      for (int a = 0; a < num_atoms; ++a) {
-        if (!row.tuples[a].has_value()) {
-          // A missing atom is only emittable as partial data when its
-          // service degraded under a degrade policy; anything else means
-          // the row never finished assembling.
-          if (state.resilient && state.policy.degrade &&
-              state.degraded_atoms.count(a) > 0) {
-            combo.components.emplace_back();
-            combo.component_scores.push_back(0.0);
-            combo.missing_atoms.push_back(a);
-            continue;
-          }
-          viable = false;
-          break;
-        }
-        combo.components.push_back(*row.tuples[a]);
-        combo.component_scores.push_back(row.scores[a]);
-        total += weights[a] * row.scores[a];
+      if (!AssembleCombination(row.tuples, row.scores, weights,
+                               state.degraded_atoms, &combo)) {
+        continue;
       }
-      if (!viable) continue;
-      combo.combined_score = total;
       result.combinations.push_back(std::move(combo));
     }
     return Status::OK();
   }();
 
   // Teardown: wake any realtime-mode sleeps, then wait out speculation still
-  // in flight — worker jobs hold pointers into the ledger and must not
+  // in flight — worker jobs hold pointers into the run state and must not
   // outlive this frame. Their responses are already in the cache, so the
   // work is not lost, just not consumed by this run.
   if (options_.interrupt != nullptr) options_.interrupt->Trigger();
   for (auto& [key, fetch] : state.inflight) {
     if (fetch->done.valid()) fetch->done.wait();
   }
-  pool.reset();
   result.speculative_calls = state.speculative_issued;
   result.speculative_wasted =
       state.speculative_issued - state.speculative_consumed;
@@ -1256,25 +1011,15 @@ Result<StreamingResult> StreamingEngine::ExecuteOnce(
   result.cache_misses = state.cache_misses;
   result.node_stats = std::move(state.node_stats);
   result.trace = std::move(state.trace);
-  if (state.resilient) {
-    result.reliability = ledger.Snapshot();
-    result.reliability.overhead_ms = state.overhead_consumed_ms;
-    result.reliability.breakers = breakers.States();
-    result.reliability.services_lost = lost_collector.Snapshot();
-    result.open_breakers = breakers.OpenBreakers();
-  }
   for (auto& [node_id, status] : state.degraded) {
     result.degraded.push_back(std::move(status));
   }
-  result.complete = result.degraded.empty();
-  result.degradation_level = options_.degradation_level;
   result.columnar = state.columnar;
 
   // Overlap-aware simulated clock: per-node ready/finish times over the
   // plan DAG, exactly the materializing engine's model — parallel branches
   // count once, and the total is the critical path, not the sum. Computed
   // from charged latencies only, so it is identical at any thread count.
-  SECO_ASSIGN_OR_RETURN(std::vector<int> order, plan.TopologicalOrder());
   std::map<int, double> finish;
   for (int id : order) {
     const PlanNode& node = plan.node(id);
@@ -1285,11 +1030,7 @@ Result<StreamingResult> StreamingEngine::ExecuteOnce(
     finish[id] = stats.finished_at_ms;
     result.total_latency_ms = std::max(result.total_latency_ms, finish[id]);
   }
-
-  result.wall_clock_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
+  scaffold.Finish(state.overhead_consumed_ms, &result);
   return result;
 }
 

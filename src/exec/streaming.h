@@ -1,135 +1,47 @@
 #ifndef SECO_EXEC_STREAMING_H_
 #define SECO_EXEC_STREAMING_H_
 
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "common/interrupt.h"
 #include "common/result.h"
 #include "data/column_chunk.h"
 #include "exec/engine.h"
+#include "exec/run.h"
 #include "plan/plan.h"
-#include "service/tuple.h"
 
 namespace seco {
 
-class ServiceCallCache;
-class CircuitBreakerRegistry;
-
-/// Options of a streaming execution.
-struct StreamingOptions {
-  /// Stop after emitting this many combinations.
-  int k = 10;
-  std::map<std::string, Value> input_bindings;
-  /// Safety budget on *charged* service calls — the calls the sequential
-  /// engine would make. Speculative fetches reserve budget while in flight
-  /// (charged + outstanding never exceeds this) but are only charged when
-  /// their result is actually consumed.
-  int max_calls = 10000;
-  /// Worker threads of the speculative prefetcher. 1 (default) keeps the
-  /// historical fully sequential pull pipeline; any value yields
-  /// bit-identical combinations, charged calls, and traces.
-  int num_threads = 1;
+/// Options of a streaming execution: the common `RunOptions` plus what
+/// only this engine reads.
+struct StreamingOptions : RunOptions {
   /// How far ahead of the consumer the prefetcher may run per service node:
   /// up to `prefetch_depth` chunks beyond the one being consumed, and the
   /// first chunks of up to `prefetch_depth` upcoming distinct bindings.
-  /// 0 (default) disables speculation.
+  /// 0 (default) disables speculation, and with it the worker pool.
   int prefetch_depth = 0;
-  /// Service-call cache. nullptr (default) = a fresh private cache per
-  /// execution; point at `ServiceCallCache::Process()` (or any shared
-  /// instance) to let repeated queries hit warm entries — including entries
-  /// a speculative fetch paid for in an earlier run. Not owned.
-  ServiceCallCache* cache = nullptr;
-  /// When true, every charged call is recorded in StreamingResult::trace.
-  bool collect_trace = false;
   /// Shared with realtime-mode services (`SimulatedService::set_interrupt`):
   /// triggered when the run ends so speculative fetches still sleeping on
   /// pool threads stop blocking teardown. Optional.
   std::shared_ptr<InterruptFlag> interrupt;
-  /// Retry / deadline / breaker / hedging / degradation policy (see
-  /// docs/RELIABILITY.md). The default policy is inert and preserves the
-  /// historical behavior bit-for-bit. Under a policy, every delivery
-  /// *attempt* — demand or speculative — claims a `max_calls` slot, so a
-  /// retry storm can never overdraw the budget. The streaming engine
-  /// applies `query_deadline_ms` to the cumulative charged latency plus
-  /// reliability overhead (its deterministic mid-run clock).
-  ReliabilityPolicy reliability;
-  /// Plan-repair policy: what to do when a service is permanently lost
-  /// (docs/RELIABILITY.md, "Failover & plan repair"). The failover policies
-  /// need `repair.registry`; repair rounds share one call cache so an
-  /// abandoned round's chunks replay as free hits after replanning.
-  RepairOptions repair;
-  /// Externally-imposed degradation level from the serving layer's ladder
-  /// (docs/SERVER.md). 0 (default) = full quality. Level >= 1 drops
-  /// speculation (`prefetch_depth` is treated as 0); level >= 3 additionally
-  /// forces `reliability.degrade` on so permanent losses yield partial
-  /// answers. Levels only remove work, so a degraded answer is always a
-  /// subset-quality version of the undegraded one. Echoed into
-  /// `StreamingResult::degradation_level`.
-  int degradation_level = 0;
-  /// Cross-query circuit-breaker registry (e.g. a `QueryServer`'s). When
-  /// null (default) each execution gets a private registry — the historical
-  /// behavior. Must outlive the execution. Not owned.
-  CircuitBreakerRegistry* shared_breakers = nullptr;
-  /// Cooperative cancellation token (docs/SERVER.md, "Cancellation").
-  /// Polled at chunk boundaries by the pull pipeline and by in-flight
-  /// fetch jobs; a fired token abandons speculation and aborts the run
-  /// with kCancelled. The run's teardown is the same as a normal exit:
-  /// every in-flight future is drained before the pool dies, so a
-  /// cancelled run leaks nothing. null = never cancellable.
-  std::shared_ptr<CancelToken> cancel;
 };
 
 /// Result of a streaming run. Combinations appear in *arrival order* — the
 /// §4.1 non-blocking dataflow: tuples reach the user while extraction is
 /// still in progress, in an approximation of the ranking order (tiles are
 /// explored best-first, but no global sort ever happens).
-struct StreamingResult {
-  std::vector<Combination> combinations;
-  /// Calls charged against `max_calls`: demand misses plus consumed
-  /// speculative fetches. Identical at any thread count / prefetch depth.
-  int total_calls = 0;
+struct StreamingResult : RunResult {
   /// Simulated critical-path time: per-node ready/finish times over the
-  /// plan DAG, so overlapping branches count once (matches the
-  /// materializing engine's `elapsed_ms` clock model).
+  /// plan DAG, so overlapping branches count once — the same quantity as
+  /// the materializing engine's `elapsed_ms`, not its `total_latency_ms`.
   double total_latency_ms = 0.0;
   /// True if the sources were exhausted before k combinations appeared.
   bool exhausted = false;
-  /// Measured real duration of Execute(), in milliseconds.
-  double wall_clock_ms = 0.0;
-  /// Request-responses served from the call cache / issued to services.
-  /// Consumed speculative fetches count as misses (they are charged), never
-  /// as hits, so these totals match the sequential baseline.
-  int cache_hits = 0;
-  int cache_misses = 0;
   /// Speculative fetches issued / issued-but-never-consumed. Wasted fetches
   /// are *not* in `total_calls` — their responses stay in the cache, so the
   /// work is recoverable by later runs.
   int speculative_calls = 0;
   int speculative_wasted = 0;
-  std::map<int, NodeRuntimeStats> node_stats;
-  /// Chronological charged-call log; empty unless
-  /// `StreamingOptions::collect_trace`. Identical at any thread count.
-  std::vector<CallEvent> trace;
-  /// Retry / hedge / breaker / deadline telemetry (zero when the policy is
-  /// inert).
-  ReliabilityStats reliability;
-  /// Plan nodes that lost data to permanent service failures; empty unless
-  /// `ReliabilityPolicy::degrade` allowed a partial answer.
-  std::vector<DegradedStatus> degraded;
-  /// Interfaces whose circuit breaker ended the run open.
-  std::vector<std::string> open_breakers;
-  /// Replanning telemetry; inert (`!any()`) unless a repair policy was set
-  /// and a service was actually lost.
-  RepairStats repair;
-  /// False when any node degraded: `combinations` may then contain partial
-  /// combinations (see `Combination::missing_atoms`).
-  bool complete = true;
-  /// The `StreamingOptions::degradation_level` this run was executed under,
-  /// echoed so multi-query ledgers can attribute quality loss per query.
-  int degradation_level = 0;
   /// Columnar data-plane counters (docs/DATA_PLANE.md): join nodes whose
   /// single equality group ran as a key-scan kernel over canonicalized
   /// partial-row keys, vs. rows that took the scalar predicate.
@@ -167,16 +79,37 @@ class StreamingEngine {
   Result<StreamingResult> Execute(const QueryPlan& plan);
 
  private:
-  /// One streaming round. `cache_override` (when non-null) takes precedence
-  /// over `options_.cache` — the repair loop threads one cache through all
-  /// rounds so abandoned prefixes replay as hits. `force_degrade` turns
-  /// degradation on regardless of the reliability policy, so a lost service
-  /// surfaces as `DegradedStatus` instead of aborting the round.
+  /// One streaming round of `RunWithRepair`; `cache_override` and
+  /// `force_degrade` are as in `RunScaffold`.
   Result<StreamingResult> ExecuteOnce(const QueryPlan& plan,
                                       ServiceCallCache* cache_override,
                                       bool force_degrade);
 
   StreamingOptions options_;
+};
+
+/// Either engine's result, for the surfaces that carry both kinds (served
+/// responses, cached answers, the wire): exactly one of `execution` /
+/// `streaming` is populated, per `streamed`. Read the common fields through
+/// `run()`.
+struct RunPayload {
+  bool streamed = false;
+  ExecutionResult execution;
+  StreamingResult streaming;
+
+  const RunResult& run() const {
+    if (streamed) return streaming;
+    return execution;
+  }
+  RunResult& run() {
+    if (streamed) return streaming;
+    return execution;
+  }
+  /// Simulated critical path of the run: the materializing `elapsed_ms`,
+  /// or the streaming `total_latency_ms`.
+  double critical_path_ms() const {
+    return streamed ? streaming.total_latency_ms : execution.elapsed_ms;
+  }
 };
 
 }  // namespace seco

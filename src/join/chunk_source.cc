@@ -51,18 +51,6 @@ void ChunkSource::DecodeChunkColumns(const Chunk& chunk) {
 
 Result<bool> ChunkSource::FetchNext() {
   if (exhausted_) return false;
-  if (!pending_.empty()) {
-    // Consume the oldest prefetch. Chunks are requested in index order
-    // whether speculated or not, so this is exactly the chunk a synchronous
-    // fetch would have requested — charge it now, identically.
-    std::unique_ptr<PendingFetch> fetch = std::move(pending_.front());
-    pending_.pop_front();
-    ++prefetches_consumed_;
-    fetch->done.wait();
-    SECO_RETURN_IF_ERROR(fetch->response.status());
-    return IngestResponse(std::move(fetch->response).value(),
-                          fetch->from_cache);
-  }
   ServiceRequest request;
   request.inputs = inputs_;
   request.chunk_index = next_chunk_++;
@@ -91,59 +79,6 @@ Result<bool> ChunkSource::FetchNext() {
     }
   }
   return IngestResponse(std::move(resp), from_cache);
-}
-
-bool ChunkSource::Prefetch(CallScheduler* scheduler) {
-  if (exhausted_ || scheduler == nullptr) return false;
-  auto fetch = std::make_unique<PendingFetch>();
-  PendingFetch* slot = fetch.get();
-  std::shared_ptr<ServiceInterface> iface = iface_;
-  ServiceCallHandler* handler = effective_handler();
-  std::vector<Value> inputs = inputs_;
-  ServiceCallCache* cache = cache_;
-  int chunk_index = next_chunk_;
-  std::optional<std::future<Status>> job = scheduler->SubmitOne(
-      [iface, handler, inputs = std::move(inputs), cache, chunk_index,
-       slot]() -> Status {
-        ServiceRequest request;
-        request.inputs = inputs;
-        request.chunk_index = chunk_index;
-        std::string key;
-        if (cache != nullptr) {
-          key = ServiceCallCache::Key(iface->name(), SerializeBinding(inputs),
-                                      chunk_index);
-          std::optional<ServiceResponse> cached = cache->Get(key);
-          if (cached.has_value()) {
-            slot->response = std::move(*cached);
-            slot->from_cache = true;
-            return Status::OK();
-          }
-        }
-        Result<ServiceResponse> resp = handler->Call(request);
-        if (resp.ok() && cache != nullptr) {
-          ServiceResponse clean = resp.value();
-          clean.fault_overhead_ms = 0.0;
-          cache->Put(key, clean);
-        }
-        slot->response = std::move(resp);
-        return slot->response.status();
-      });
-  if (!job.has_value()) return false;  // inline mode: never speculate
-  slot->done = std::move(*job);
-  ++next_chunk_;
-  ++prefetches_issued_;
-  pending_.push_back(std::move(fetch));
-  return true;
-}
-
-void ChunkSource::AbandonPrefetches() {
-  for (std::unique_ptr<PendingFetch>& fetch : pending_) {
-    if (fetch->done.valid()) fetch->done.wait();
-  }
-  // Un-request the abandoned chunks so a later synchronous FetchNext picks
-  // up where consumption (not speculation) stopped.
-  next_chunk_ -= static_cast<int>(pending_.size());
-  pending_.clear();
 }
 
 }  // namespace seco

@@ -2,7 +2,6 @@
 #define SECO_JOIN_CHUNK_SOURCE_H_
 
 #include <deque>
-#include <future>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "common/result.h"
 #include "data/column_chunk.h"
 #include "exec/call_cache.h"
-#include "exec/call_scheduler.h"
 #include "service/service_interface.h"
 
 namespace seco {
@@ -32,14 +30,6 @@ struct Chunk {
 /// Pulls successive chunks from a service interface under one fixed input
 /// binding, tracking calls and simulated latency. The unit of interaction
 /// of all join methods (§4.1: services produce a new chunk per call).
-///
-/// `Prefetch` overlaps the next chunk's round-trip with whatever the caller
-/// is doing: the fetch runs on the scheduler's pool and `FetchNext` later
-/// consumes it in issue order, with *all* accounting (calls, latency, cache
-/// hits) done at consumption — so counters, chunk contents, and the fetch
-/// schedule are identical with and without prefetching. Prefetched chunks
-/// never consumed are only visible in `prefetches_issued()` (and in the
-/// call cache, where their responses keep their value).
 class ChunkSource {
  public:
   /// `cache`, when given (not owned), serves repeat fetches of the same
@@ -50,29 +40,14 @@ class ChunkSource {
               ServiceCallCache* cache = nullptr)
       : iface_(std::move(iface)), inputs_(std::move(inputs)), cache_(cache) {}
 
-  /// Outstanding prefetch jobs hold pointers into this object; wait them
-  /// out before the members are torn down.
-  ~ChunkSource() { AbandonPrefetches(); }
-
-  /// Fetches the next chunk — from the oldest pending prefetch if one is in
-  /// flight, synchronously otherwise. Returns false when the service was
-  /// already exhausted (no call is made in that case).
+  /// Fetches the next chunk. Returns false when the service was already
+  /// exhausted (no call is made in that case).
   Result<bool> FetchNext();
-
-  /// Speculatively issues the fetch of the next not-yet-requested chunk on
-  /// the scheduler's pool. Returns true if a fetch was issued; false when
-  /// the source is exhausted or the scheduler has no pool (inline mode
-  /// never speculates).
-  bool Prefetch(CallScheduler* scheduler);
-
-  /// Waits for outstanding prefetches and discards their results (their
-  /// responses stay in the call cache if one is attached).
-  void AbandonPrefetches();
 
   /// Overrides the handler calls go through — typically a
   /// `ResilientHandler` wrapping `iface->handler()` so the join methods
-  /// inherit retry/deadline/breaker behavior. Must outlive this source
-  /// (including outstanding prefetch jobs). nullptr restores the default.
+  /// inherit retry/deadline/breaker behavior. Must outlive this source.
+  /// nullptr restores the default.
   void set_handler(std::shared_ptr<ServiceCallHandler> handler) {
     handler_override_ = std::move(handler);
   }
@@ -86,8 +61,7 @@ class ChunkSource {
   /// columns, with the join key at `key_path` canonicalized for the SIMD
   /// kernels. String keys intern into `dict` (not owned; may be null),
   /// which the two sides of a join must share for codes to be comparable.
-  /// Decoding happens on the consumer thread inside `FetchNext` — prefetch
-  /// pool jobs only fill response slots — so no locking is needed.
+  /// Decoding happens inside `FetchNext`.
   void EnableColumnar(const AttrPath& key_path, KeyDictionary* dict);
 
   /// The decoded columns of chunk `i`, or nullptr when columnar decoding is
@@ -107,13 +81,6 @@ class ChunkSource {
   int cache_hits() const { return cache_hits_; }
   double total_latency_ms() const { return total_latency_ms_; }
 
-  /// Speculative fetches issued / consumed by a later FetchNext. The
-  /// difference is the speculation waste so far.
-  int prefetches_issued() const { return prefetches_issued_; }
-  int prefetches_consumed() const { return prefetches_consumed_; }
-  /// Prefetches currently in flight (issued, not yet consumed).
-  int prefetches_pending() const { return static_cast<int>(pending_.size()); }
-
   const ServiceInterface& iface() const { return *iface_; }
 
   /// True if this source synthesized scores from positions because the
@@ -124,15 +91,7 @@ class ChunkSource {
   bool scores_synthesized() const { return scores_synthesized_; }
 
  private:
-  /// One in-flight speculative fetch; the pool job writes into the slot.
-  struct PendingFetch {
-    std::future<Status> done;
-    Result<ServiceResponse> response = Status::Internal("prefetch pending");
-    bool from_cache = false;
-  };
-
-  /// Appends a fetched response as a chunk, with the accounting shared by
-  /// the synchronous and prefetched paths.
+  /// Appends a fetched response as a chunk, with its accounting.
   bool IngestResponse(ServiceResponse resp, bool from_cache);
 
   /// Decodes one admitted chunk into `columns_` (columnar mode only).
@@ -158,17 +117,13 @@ class ChunkSource {
   KeyDictionary* dict_ = nullptr;  // not owned; may be null
   int chunks_decoded_ = 0;
   int decode_fallbacks_ = 0;
-  /// Prefetches in flight, oldest first; FetchNext consumes the front.
-  std::deque<std::unique_ptr<PendingFetch>> pending_;
   bool exhausted_ = false;
   int calls_ = 0;
   int cache_hits_ = 0;
   double total_latency_ms_ = 0.0;
   int tuples_seen_ = 0;
-  /// Chunk index of the next request to issue (sync or speculative).
+  /// Chunk index of the next request to issue.
   int next_chunk_ = 0;
-  int prefetches_issued_ = 0;
-  int prefetches_consumed_ = 0;
   bool scores_synthesized_ = false;
 };
 

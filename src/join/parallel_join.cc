@@ -197,23 +197,6 @@ Result<JoinExecution> ParallelJoinExecutor::Run() {
     x_->EnableColumnar(config_.columns->x, &dict_);
     y_->EnableColumnar(config_.columns->y, &dict_);
   }
-  CallScheduler scheduler(config_.pool);
-  // Tops up each side's in-flight speculation to prefetch_depth, reserving
-  // budget for every issued fetch so consumed + pending never overdraws
-  // max_calls. Issuing is greedy but consumption (and thus every counter
-  // and the fetch schedule) follows NextFetchSide exactly as before.
-  auto top_up_prefetches = [&] {
-    if (config_.pool == nullptr || config_.prefetch_depth <= 0) return;
-    for (ChunkSource* side : {x_, y_}) {
-      while (!side->exhausted() &&
-             side->prefetches_pending() < config_.prefetch_depth &&
-             x_->calls() + y_->calls() + x_->prefetches_pending() +
-                     y_->prefetches_pending() <
-                 config_.max_calls) {
-        if (!side->Prefetch(&scheduler)) break;
-      }
-    }
-  };
   // Concurrent priming: both sides always need their first chunk before a
   // single tile exists (§4.4), so with a pool the two opening fetches
   // overlap. Bookkeeping runs X-then-Y afterwards, matching the sequential
@@ -239,9 +222,6 @@ Result<JoinExecution> ParallelJoinExecutor::Run() {
     }
   }
   while (true) {
-    // Keep the speculation window full while tiles are processed below —
-    // the fetches the schedule will ask for next are already on the wire.
-    top_up_prefetches();
     // Process every admitted tile; stop once k results are emitted.
     bool done = false;
     while (!done) {
@@ -295,14 +275,8 @@ Result<JoinExecution> ParallelJoinExecutor::Run() {
       break;
     }
   }
-  x_->AbandonPrefetches();
-  y_->AbandonPrefetches();
   exec.calls_x = x_->calls();
   exec.calls_y = y_->calls();
-  exec.speculative_calls = x_->prefetches_issued() + y_->prefetches_issued();
-  exec.speculative_wasted =
-      exec.speculative_calls -
-      (x_->prefetches_consumed() + y_->prefetches_consumed());
   exec.latency_sequential_ms = x_->total_latency_ms() + y_->total_latency_ms();
   exec.latency_parallel_ms =
       std::max(x_->total_latency_ms(), y_->total_latency_ms());

@@ -35,14 +35,6 @@ struct ParallelJoinConfig {
   /// clock. Fetch *decisions* stay sequential, so traces, call counts and
   /// results are identical with and without a pool.
   ThreadPool* pool = nullptr;
-  /// With a pool, keep up to this many speculative chunk fetches in flight
-  /// per side while tiles are processed (`ChunkSource::Prefetch`). Charged
-  /// calls, results, and the fetch schedule stay identical — consumption
-  /// order is fixed and accounting happens at consumption; only the wall
-  /// clock changes. Speculation reserves budget (consumed + in-flight stays
-  /// under max_calls), so it can under-speculate near the budget but never
-  /// overdraw it. 0 (default) disables speculation beyond the priming pair.
-  int prefetch_depth = 0;
   /// Opts the executor into the columnar data plane. REQUIRES the predicate
   /// to be equality of exactly these two attributes: tiles whose decoded key
   /// columns are kernel-comparable skip the per-pair predicate and run a
@@ -78,11 +70,6 @@ struct JoinExecution {
   std::vector<Tile> tile_order;
   int calls_x = 0;
   int calls_y = 0;
-  /// Speculative fetches issued / issued-but-never-consumed across both
-  /// sides. Wasted fetches are not in calls_x/calls_y; their responses stay
-  /// in the call cache when one is attached.
-  int speculative_calls = 0;
-  int speculative_wasted = 0;
   /// Simulated elapsed time if the two services are called one at a time.
   double latency_sequential_ms = 0.0;
   /// Simulated elapsed time with the two services called concurrently

@@ -750,40 +750,32 @@ std::string EncodeAnswerBody(const QueryResponse& response) {
   w.Bool(has_result);
   if (!has_result) return w.Take();
 
+  // The body layout is versioned (kAnswerBodyVersion): each engine's own
+  // fields sit between the common ones at fixed positions.
+  const RunResult& run = response.run();
+  w.U32(static_cast<uint32_t>(run.combinations.size()));
+  for (const Combination& c : run.combinations) EncodeCombination(c, &w);
+  w.I32(run.total_calls);
   if (response.streamed) {
-    const StreamingResult& s = response.streaming;
-    w.U32(static_cast<uint32_t>(s.combinations.size()));
-    for (const Combination& c : s.combinations) EncodeCombination(c, &w);
-    w.I32(s.total_calls);
-    w.F64(s.total_latency_ms);
-    w.Bool(s.exhausted);
-    w.I32(s.cache_hits);
-    w.I32(s.cache_misses);
-    w.I32(s.speculative_calls);
-    w.I32(s.speculative_wasted);
-    w.Bool(s.complete);
-    EncodeNodeStats(s.node_stats, &w);
-    EncodeDegraded(s.degraded, &w);
-    EncodeOpenBreakers(s.open_breakers, &w);
-    EncodeReliability(s.reliability, &w);
-    EncodeRepair(s.repair, &w);
+    w.F64(response.streaming.total_latency_ms);
+    w.Bool(response.streaming.exhausted);
   } else {
-    const ExecutionResult& e = response.execution;
-    w.U32(static_cast<uint32_t>(e.combinations.size()));
-    for (const Combination& c : e.combinations) EncodeCombination(c, &w);
-    w.I32(e.total_calls);
-    w.F64(e.elapsed_ms);
-    w.F64(e.total_latency_ms);
-    w.I32(e.total_combinations_produced);
-    w.I32(e.cache_hits);
-    w.I32(e.cache_misses);
-    w.Bool(e.complete);
-    EncodeNodeStats(e.node_stats, &w);
-    EncodeDegraded(e.degraded, &w);
-    EncodeOpenBreakers(e.open_breakers, &w);
-    EncodeReliability(e.reliability, &w);
-    EncodeRepair(e.repair, &w);
+    w.F64(response.execution.elapsed_ms);
+    w.F64(response.execution.total_latency_ms);
+    w.I32(response.execution.total_combinations_produced);
   }
+  w.I32(run.cache_hits);
+  w.I32(run.cache_misses);
+  if (response.streamed) {
+    w.I32(response.streaming.speculative_calls);
+    w.I32(response.streaming.speculative_wasted);
+  }
+  w.Bool(run.complete);
+  EncodeNodeStats(run.node_stats, &w);
+  EncodeDegraded(run.degraded, &w);
+  EncodeOpenBreakers(run.open_breakers, &w);
+  EncodeReliability(run.reliability, &w);
+  EncodeRepair(run.repair, &w);
   return w.Take();
 }
 
@@ -818,47 +810,35 @@ Result<QueryResponse> DecodeAnswerBody(const std::string& payload) {
     return response;
   }
 
+  RunResult& run = response.run();
   SECO_ASSIGN_OR_RETURN(uint32_t num_combinations, r.U32());
+  for (uint32_t i = 0; i < num_combinations; ++i) {
+    SECO_ASSIGN_OR_RETURN(Combination c, DecodeCombination(&r));
+    run.combinations.push_back(std::move(c));
+  }
+  SECO_ASSIGN_OR_RETURN(run.total_calls, r.I32());
   if (response.streamed) {
-    StreamingResult& s = response.streaming;
-    for (uint32_t i = 0; i < num_combinations; ++i) {
-      SECO_ASSIGN_OR_RETURN(Combination c, DecodeCombination(&r));
-      s.combinations.push_back(std::move(c));
-    }
-    SECO_ASSIGN_OR_RETURN(s.total_calls, r.I32());
-    SECO_ASSIGN_OR_RETURN(s.total_latency_ms, r.F64());
-    SECO_ASSIGN_OR_RETURN(s.exhausted, r.Bool());
-    SECO_ASSIGN_OR_RETURN(s.cache_hits, r.I32());
-    SECO_ASSIGN_OR_RETURN(s.cache_misses, r.I32());
-    SECO_ASSIGN_OR_RETURN(s.speculative_calls, r.I32());
-    SECO_ASSIGN_OR_RETURN(s.speculative_wasted, r.I32());
-    SECO_ASSIGN_OR_RETURN(s.complete, r.Bool());
-    SECO_RETURN_IF_ERROR(DecodeNodeStats(&r, &s.node_stats));
-    SECO_RETURN_IF_ERROR(DecodeDegraded(&r, &s.degraded));
-    SECO_RETURN_IF_ERROR(DecodeOpenBreakers(&r, &s.open_breakers));
-    SECO_RETURN_IF_ERROR(DecodeReliability(&r, &s.reliability));
-    SECO_RETURN_IF_ERROR(DecodeRepair(&r, &s.repair));
-    s.degradation_level = response.degradation_level;
+    SECO_ASSIGN_OR_RETURN(response.streaming.total_latency_ms, r.F64());
+    SECO_ASSIGN_OR_RETURN(response.streaming.exhausted, r.Bool());
   } else {
     ExecutionResult& e = response.execution;
-    for (uint32_t i = 0; i < num_combinations; ++i) {
-      SECO_ASSIGN_OR_RETURN(Combination c, DecodeCombination(&r));
-      e.combinations.push_back(std::move(c));
-    }
-    SECO_ASSIGN_OR_RETURN(e.total_calls, r.I32());
     SECO_ASSIGN_OR_RETURN(e.elapsed_ms, r.F64());
     SECO_ASSIGN_OR_RETURN(e.total_latency_ms, r.F64());
     SECO_ASSIGN_OR_RETURN(e.total_combinations_produced, r.I32());
-    SECO_ASSIGN_OR_RETURN(e.cache_hits, r.I32());
-    SECO_ASSIGN_OR_RETURN(e.cache_misses, r.I32());
-    SECO_ASSIGN_OR_RETURN(e.complete, r.Bool());
-    SECO_RETURN_IF_ERROR(DecodeNodeStats(&r, &e.node_stats));
-    SECO_RETURN_IF_ERROR(DecodeDegraded(&r, &e.degraded));
-    SECO_RETURN_IF_ERROR(DecodeOpenBreakers(&r, &e.open_breakers));
-    SECO_RETURN_IF_ERROR(DecodeReliability(&r, &e.reliability));
-    SECO_RETURN_IF_ERROR(DecodeRepair(&r, &e.repair));
-    e.degradation_level = response.degradation_level;
   }
+  SECO_ASSIGN_OR_RETURN(run.cache_hits, r.I32());
+  SECO_ASSIGN_OR_RETURN(run.cache_misses, r.I32());
+  if (response.streamed) {
+    SECO_ASSIGN_OR_RETURN(response.streaming.speculative_calls, r.I32());
+    SECO_ASSIGN_OR_RETURN(response.streaming.speculative_wasted, r.I32());
+  }
+  SECO_ASSIGN_OR_RETURN(run.complete, r.Bool());
+  SECO_RETURN_IF_ERROR(DecodeNodeStats(&r, &run.node_stats));
+  SECO_RETURN_IF_ERROR(DecodeDegraded(&r, &run.degraded));
+  SECO_RETURN_IF_ERROR(DecodeOpenBreakers(&r, &run.open_breakers));
+  SECO_RETURN_IF_ERROR(DecodeReliability(&r, &run.reliability));
+  SECO_RETURN_IF_ERROR(DecodeRepair(&r, &run.repair));
+  run.degradation_level = response.degradation_level;
   SECO_RETURN_IF_ERROR(r.ExpectEnd());
   return response;
 }

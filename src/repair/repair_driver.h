@@ -10,45 +10,76 @@
 #include <vector>
 
 #include "common/result.h"
+#include "exec/call_cache.h"
+#include "exec/run.h"
 #include "plan/plan.h"
 #include "repair/plan_repairer.h"
 #include "repair/repair.h"
 
 namespace seco {
 
-/// The run-repair-rerun loop shared by both engines. `R` is the engine's
-/// result type and must expose `degraded` (vector of `DegradedStatus`),
-/// `complete`, `cache_hits`, and a `RepairStats repair` member.
+/// Per interface, the calls a round left warm in the call cache: charged
+/// calls plus the hits it replayed itself, summed over its service nodes.
+inline std::map<std::string, int64_t> WarmCalls(const RunResult& result,
+                                                const QueryPlan& plan) {
+  std::map<std::string, int64_t> warm_calls;
+  for (const auto& [id, stats] : result.node_stats) {
+    const PlanNode& node = plan.node(id);
+    if (node.kind != PlanNodeKind::kServiceCall || node.iface == nullptr) {
+      continue;
+    }
+    warm_calls[node.iface->name()] += stats.calls + stats.cache_hits;
+  }
+  return warm_calls;
+}
+
+/// The run-repair-rerun loop shared by both engines; `R` is the engine's
+/// result type.
 ///
-/// - `run(plan)` executes one round with degradation forced on and the
-///   shared `ServiceCallCache` attached, so an abandoned round's chunks are
-///   salvaged by the next round as cache hits.
-/// - `warm(result, plan)` reports per-interface calls materialized in the
-///   cache by that round (charged calls + hits it replayed itself).
-/// - `clock(result)` is the round's simulated clock, logged as
-///   `abandoned_ms` for rounds that get replanned away.
+/// - `run_round(plan, cache_override, force_degrade)` executes one round.
+///   The repair policies run every round with degradation forced on; the
+///   failover policies also attach one `ServiceCallCache` to all rounds,
+///   so an abandoned round's chunks are salvaged by the next round as
+///   cache hits.
+/// - `clock` is the member holding a round's simulated critical path,
+///   logged as `abandoned_ms` for rounds that get replanned away.
 ///
 /// Determinism: a round's degraded set derives from the seeded fault model
 /// via deterministic request ordinals, so the lost-service set — and hence
 /// every replanning decision — is identical at any `{num_threads,
 /// prefetch_depth}`. Replanning time is wall-clock and goes to
 /// `RepairStats.replan_ms` only.
-template <typename R, typename RunFn, typename WarmFn, typename ClockFn>
-Result<R> RunWithRepair(const QueryPlan& plan, const RepairOptions& options,
-                        const RunFn& run, const WarmFn& warm,
-                        const ClockFn& clock) {
+template <typename R, typename RoundFn>
+Result<R> RunWithRepair(const QueryPlan& plan, const RunOptions& run_options,
+                        double R::*clock, const RoundFn& run_round) {
+  const RepairOptions& options = run_options.repair;
+  switch (options.policy) {
+    case RepairPolicy::kOff:
+      return run_round(plan, nullptr, /*force_degrade=*/false);
+    case RepairPolicy::kDegrade:
+      return run_round(plan, nullptr, /*force_degrade=*/true);
+    default:
+      break;
+  }
   if (options.registry == nullptr) {
     return Status::InvalidArgument(
         "repair policy '" + std::string(RepairPolicyToString(options.policy)) +
         "' requires RepairOptions::registry");
   }
+  // Wasted speculation of earlier rounds also lands in the shared cache, so
+  // repaired runs compare on combinations, not call counts, across prefetch
+  // depths.
+  ServiceCallCache round_cache;
+  ServiceCallCache* cache =
+      run_options.cache != nullptr ? run_options.cache : &round_cache;
   PlanRepairer repairer(*options.registry, options.optimizer);
   RepairStats stats;
   std::set<std::string> dead;
   QueryPlan current = plan;
 
   for (int round = 0;; ++round) {
-    SECO_ASSIGN_OR_RETURN(R result, run(current));
+    SECO_ASSIGN_OR_RETURN(R result,
+                          run_round(current, cache, /*force_degrade=*/true));
 
     // Services lost *by this round's own faults*: direct (non-cascaded,
     // non-deadline) degradations not already written off. Deterministic —
@@ -76,8 +107,8 @@ Result<R> RunWithRepair(const QueryPlan& plan, const RepairOptions& options,
     }
 
     stats.events += static_cast<int>(lost.size());
-    stats.abandoned_ms += clock(result);
-    std::map<std::string, int64_t> warm_calls = warm(result, current);
+    stats.abandoned_ms += result.*clock;
+    std::map<std::string, int64_t> warm_calls = WarmCalls(result, current);
     for (const std::string& name : lost) dead.insert(name);
 
     auto t0 = std::chrono::steady_clock::now();

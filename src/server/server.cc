@@ -8,6 +8,17 @@
 
 namespace seco {
 
+namespace {
+
+/// Outcome of a run that produced an answer: degraded when admitted under a
+/// ladder level or when the answer is partial.
+ServedOutcome ServedOutcomeOf(int level, const RunResult& run) {
+  return (level > 0 || !run.complete) ? ServedOutcome::kDegraded
+                                      : ServedOutcome::kCompleted;
+}
+
+}  // namespace
+
 const char* ServedOutcomeToString(ServedOutcome outcome) {
   switch (outcome) {
     case ServedOutcome::kCompleted:
@@ -179,10 +190,7 @@ QueryServer::SubmittedQuery QueryServer::SubmitWithId(QueryRequest request) {
         ++cls.degradation_levels[std::clamp(level, 0,
                                             DegradationLadder::kMaxLevel)];
         cls.queue_wait_ms.push_back(0.0);
-        cls.sim_elapsed_ms.push_back(
-            ready_response.streamed
-                ? ready_response.streaming.total_latency_ms
-                : ready_response.execution.elapsed_ms);
+        cls.sim_elapsed_ms.push_back(ready_response.critical_path_ms());
         was_hit = true;
       }
     }
@@ -377,9 +385,7 @@ void QueryServer::RunOne(QueueTicket ticket,
     ++cls.degradation_levels[std::clamp(pending->degradation_level, 0,
                                         DegradationLadder::kMaxLevel)];
     cls.queue_wait_ms.push_back(wait);
-    cls.sim_elapsed_ms.push_back(response.streamed
-                                     ? response.streaming.total_latency_ms
-                                     : response.execution.elapsed_ms);
+    cls.sim_elapsed_ms.push_back(response.critical_path_ms());
     --unresolved_;
     dispatches = CollectDispatchesLocked();
     drain_cv_.notify_all();
@@ -420,22 +426,11 @@ QueryResponse QueryServer::ExecuteRequest(
   std::shared_ptr<const CachedAnswer> payload;
   const bool outcome_ok = response.outcome == ServedOutcome::kCompleted ||
                           response.outcome == ServedOutcome::kDegraded;
-  if (response.status.ok() && outcome_ok) {
-    const bool cacheable =
-        response.streamed
-            ? (response.streaming.complete && !response.streaming.repair.any())
-            : (response.execution.complete && !response.execution.repair.any());
-    if (cacheable) {
-      auto answer = std::make_shared<CachedAnswer>();
-      answer->streamed = response.streamed;
-      answer->degradation_level = level;
-      if (response.streamed) {
-        answer->streaming = response.streaming;
-      } else {
-        answer->execution = response.execution;
-      }
-      payload = std::move(answer);
-    }
+  if (response.status.ok() && outcome_ok && response.run().complete &&
+      !response.run().repair.any()) {
+    auto answer = std::make_shared<CachedAnswer>();
+    static_cast<RunPayload&>(*answer) = response;
+    payload = std::move(answer);
   }
   answer_cache_->CompleteFlight(*answer_sig, std::move(payload));
   return response;
@@ -489,64 +484,44 @@ QueryResponse QueryServer::ExecuteUncached(
   Result<OptimizationResult> optimized = optimizer.Optimize(*bound);
   if (!optimized.ok()) return fail(optimized.status());
 
-  ReliabilityPolicy reliability =
-      request.reliability.enabled() ? request.reliability
-                                    : options_.reliability;
-  RepairOptions repair =
-      request.repair.active() ? request.repair : options_.repair;
-  repair.registry = registry_.get();
-  repair.optimizer = optimizer_options;
-
+  RunOptions run;
+  run.k = k;
+  run.input_bindings = request.input_bindings;
+  run.max_calls = max_calls;
+  run.num_threads = options_.num_threads;
+  run.cache = &cache_;
+  run.collect_trace = request.collect_trace;
+  run.reliability = request.reliability.enabled() ? request.reliability
+                                                  : options_.reliability;
+  run.repair = request.repair.active() ? request.repair : options_.repair;
+  run.repair.registry = registry_.get();
+  run.repair.optimizer = optimizer_options;
+  run.degradation_level = level;
+  run.shared_breakers = &breakers_;
+  run.cancel = cancel;
   if (request.streaming) {
     StreamingOptions stream;
-    stream.k = k;
-    stream.input_bindings = request.input_bindings;
-    stream.max_calls = max_calls;
-    stream.num_threads = options_.num_threads;
+    static_cast<RunOptions&>(stream) = std::move(run);
     stream.prefetch_depth = options_.prefetch_depth;
-    stream.cache = &cache_;
-    stream.collect_trace = request.collect_trace;
-    stream.reliability = reliability;
-    stream.repair = repair;
-    stream.degradation_level = level;
-    stream.shared_breakers = &breakers_;
-    stream.cancel = cancel;
-    StreamingEngine engine(std::move(stream));
-    Result<StreamingResult> result = engine.Execute(optimized->plan);
+    Result<StreamingResult> result =
+        StreamingEngine(std::move(stream)).Execute(optimized->plan);
     if (!result.ok()) return fail(result.status());
     response.streaming = std::move(result).value();
-    response.outcome = (level > 0 || !response.streaming.complete)
-                           ? ServedOutcome::kDegraded
-                           : ServedOutcome::kCompleted;
   } else {
     ExecutionOptions exec;
-    exec.k = k;
-    exec.input_bindings = request.input_bindings;
-    exec.max_calls = max_calls;
-    exec.num_threads = options_.num_threads;
-    exec.cache = &cache_;
-    exec.collect_trace = request.collect_trace;
-    exec.reliability = reliability;
-    exec.repair = repair;
-    exec.degradation_level = level;
-    exec.shared_breakers = &breakers_;
-    exec.cancel = cancel;
-    ExecutionEngine engine(std::move(exec));
-    Result<ExecutionResult> result = engine.Execute(optimized->plan);
+    static_cast<RunOptions&>(exec) = std::move(run);
+    Result<ExecutionResult> result =
+        ExecutionEngine(std::move(exec)).Execute(optimized->plan);
     if (!result.ok()) return fail(result.status());
     response.execution = std::move(result).value();
-    response.outcome = (level > 0 || !response.execution.complete)
-                           ? ServedOutcome::kDegraded
-                           : ServedOutcome::kCompleted;
   }
+  response.outcome = ServedOutcomeOf(level, response.run());
   // A repair event means a replica was swapped mid-run: plans and answers
   // derived from the old replica health may no longer reproduce, so the
   // derived caches roll their generation. The call cache keeps its entries
   // (a recorded backend response is still that response) — salvage across
   // repair rounds depends on them staying warm.
-  const RepairStats& rep = response.streamed ? response.streaming.repair
-                                             : response.execution.repair;
-  if (rep.any() && answer_cache_) {
+  if (response.run().repair.any() && answer_cache_) {
     answer_cache_->BumpGeneration();
     if (plan_memo_) plan_memo_->BumpGeneration();
   }
@@ -589,20 +564,10 @@ std::optional<AnswerKey> QueryServer::BuildAnswerKeyBase(
 QueryResponse QueryServer::ResponseFromCached(const CachedAnswer& answer,
                                               int level) const {
   QueryResponse response;
+  static_cast<RunPayload&>(response) = answer;
   response.degradation_level = level;
-  response.streamed = answer.streamed;
   response.answer_cache_hit = true;
-  if (answer.streamed) {
-    response.streaming = answer.streaming;
-    response.outcome = (level > 0 || !response.streaming.complete)
-                           ? ServedOutcome::kDegraded
-                           : ServedOutcome::kCompleted;
-  } else {
-    response.execution = answer.execution;
-    response.outcome = (level > 0 || !response.execution.complete)
-                           ? ServedOutcome::kDegraded
-                           : ServedOutcome::kCompleted;
-  }
+  response.outcome = ServedOutcomeOf(level, response.run());
   return response;
 }
 

@@ -19,7 +19,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "exec/call_cache.h"
-#include "exec/engine.h"
 #include "exec/streaming.h"
 #include "optimizer/optimizer.h"
 #include "query/bound_query.h"
@@ -88,8 +87,9 @@ enum class ServedOutcome {
 
 const char* ServedOutcomeToString(ServedOutcome outcome);
 
-/// Everything the server says about one submission.
-struct QueryResponse {
+/// Everything the server says about one submission. The engine result
+/// (`RunPayload`) is populated for kCompleted/kDegraded, per `streamed`.
+struct QueryResponse : RunPayload {
   ServedOutcome outcome = ServedOutcome::kFailed;
   /// Ladder level the query was admitted under (0 = full quality).
   int degradation_level = 0;
@@ -107,12 +107,6 @@ struct QueryResponse {
   /// concurrent identical execution via single-flight) instead of a fresh
   /// execution. Cached answers are byte-identical to fresh ones.
   bool answer_cache_hit = false;
-
-  /// Engine results; exactly one is populated for kCompleted/kDegraded,
-  /// per `streamed`.
-  bool streamed = false;
-  ExecutionResult execution;
-  StreamingResult streaming;
 };
 
 /// Server construction knobs.

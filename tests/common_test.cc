@@ -207,6 +207,13 @@ struct LikeCase {
   bool expected;
 };
 
+// Names the test instance by its content, not by the pointer bytes gtest
+// prints for a struct without a printer.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' like '" << c.pattern << "' is "
+      << (c.expected ? "true" : "false");
+}
+
 class LikeMatchTest : public ::testing::TestWithParam<LikeCase> {};
 
 TEST_P(LikeMatchTest, Matches) {

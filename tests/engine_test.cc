@@ -175,7 +175,7 @@ TEST_F(EngineTest, RetriesRecoverFromFlakyService) {
 
   ExecutionOptions with_retries;
   with_retries.k = 5;
-  with_retries.call_retries = 2;
+  with_retries.reliability.retry.max_retries = 2;
   ExecutionEngine robust(with_retries);
   SECO_ASSERT_OK_AND_ASSIGN(ExecutionResult result, robust.Execute(plan));
   EXPECT_EQ(result.combinations.size(), 5u);

@@ -116,6 +116,10 @@ struct BadQuery {
   const char* why;
 };
 
+// Names the test instance by its content, not by the pointer bytes gtest
+// prints for a struct without a printer.
+void PrintTo(const BadQuery& q, std::ostream* os) { *os << q.why; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadQuery> {};
 
 TEST_P(ParserErrorTest, Rejected) {

@@ -45,6 +45,13 @@ struct TopKCase {
   int k;
 };
 
+// Names the test instance by its content, not by the bytes (including
+// uninitialized padding) gtest prints for a struct without a printer.
+void PrintTo(const TopKCase& c, std::ostream* os) {
+  *os << ScoreDecayToString(c.decay_x) << " x " << ScoreDecayToString(c.decay_y)
+      << " weights " << c.wx << " " << c.wy << " k " << c.k;
+}
+
 class TopKJoinMatchesOracleTest : public ::testing::TestWithParam<TopKCase> {};
 
 TEST_P(TopKJoinMatchesOracleTest, ExactTopK) {

@@ -44,6 +44,13 @@ struct CompareCase {
   bool expected;
 };
 
+// Names the test instance by its content, not by the bytes (string buffer
+// pointers, padding) gtest prints for a struct without a printer.
+void PrintTo(const CompareCase& c, std::ostream* os) {
+  *os << c.lhs.ToString() << " " << ComparatorToString(c.op) << " "
+      << c.rhs.ToString() << " is " << (c.expected ? "true" : "false");
+}
+
 class ValueCompareTest : public ::testing::TestWithParam<CompareCase> {};
 
 TEST_P(ValueCompareTest, Evaluates) {
