@@ -19,8 +19,8 @@ TARGETS="${SECO_TSAN_TARGETS:-thread_pool_test call_cache_test \
   reliability_test fault_recovery_test columnar_kernels_test \
   memo_table_test answer_cache_test plan_signature_test query_server_test \
   wire_test remote_handler_test net_server_test net_equivalence_test \
-  net_chaos_test}"
-REGEX="${SECO_TSAN_REGEX:-ThreadPool|CallCache|ConcurrencyDeterminism|StreamingPrefetch|Streaming|ParallelJoin|Engine|Integration|Reliability|RetryPolicy|CircuitBreaker|CallBudget|ResilientHandler|RetryStorm|FaultRecovery|KernelFuzz|CanonicalKey|ColumnChunk|Columnar|MemoTable|AnswerCache|PlanSignature|PlanMemo|Wire|FrameDecoder|AnswerBody|RemoteHandler|NetServer|NetEquivalence|NetChaos}"
+  net_chaos_test net_cancel_test}"
+REGEX="${SECO_TSAN_REGEX:-ThreadPool|CallCache|ConcurrencyDeterminism|StreamingPrefetch|Streaming|ParallelJoin|Engine|Integration|Reliability|RetryPolicy|CircuitBreaker|CallBudget|ResilientHandler|RetryStorm|FaultRecovery|KernelFuzz|CanonicalKey|ColumnChunk|Columnar|MemoTable|AnswerCache|PlanSignature|PlanMemo|Wire|FrameDecoder|AnswerBody|RemoteHandler|NetServer|NetEquivalence|NetChaos|NetCancel}"
 
 cmake -B "${BUILD_DIR}" -S . -DSECO_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 # shellcheck disable=SC2086  # TARGETS is a word list by design

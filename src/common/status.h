@@ -50,6 +50,10 @@ class Status {
 
   /// Factory for the OK status.
   static Status OK() { return Status(); }
+  /// A status with `code` and `msg`; OK (message dropped) for `kOk`.
+  static Status FromCode(StatusCode code, std::string msg) {
+    return code == StatusCode::kOk ? Status() : Status(code, std::move(msg));
+  }
 
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));

@@ -49,6 +49,7 @@
 #include "net/net_server.h"
 #include "net/remote_handler.h"
 #include "net/socket.h"
+#include "net/tcp_server.h"
 #include "net/wire.h"
 #include "optimizer/augmentation.h"
 #include "optimizer/calibration.h"

@@ -29,72 +29,13 @@ void BackendServer::ExposeRegistry(const ServiceRegistry& registry) {
   }
 }
 
-Status BackendServer::Start(uint16_t port) {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::AlreadyExists("backend server already running");
-  }
-  SECO_RETURN_IF_ERROR(listener_.Listen(port));
-  running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void BackendServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  listener_.Close();  // fails the blocked Accept in the acceptor thread
-  conns_.ShutdownAll();  // unblocks connection recvs and blocked sends
-  if (acceptor_.joinable()) acceptor_.join();
-  conns_.JoinAll();
-}
-
-void BackendServer::AcceptLoop() {
-  const bool chaotic = options_.chaos.active();
-  while (running_.load(std::memory_order_acquire)) {
-    Result<Socket> conn = listener_.Accept();
-    if (!conn.ok()) break;  // listener closed by Stop (or fatal error)
-    if (chaotic) {
-      std::shared_ptr<ChaosPlan> plan = chaos_.PlanConnection();
-      // Refusal: drop the accepted socket before any byte — the dialing
-      // client sees an immediate EOF, the moral equivalent of
-      // ECONNREFUSED for a loopback accept we cannot intercept earlier.
-      if (plan->refuse) continue;
-      conn.value().AttachChaos(std::move(plan));
-    }
-    conns_.Launch(std::move(conn.value()),
-                  [this](Socket* socket) { ServeConnection(socket); });
-  }
-}
-
-void BackendServer::ServeConnection(Socket* conn) {
+void BackendServer::Serve(Socket* conn) {
   FrameDecoder decoder;
-
   // Hello handshake: magic + version + role must match before any call is
   // served, so a query client that dials the backend port fails loudly.
-  {
-    Result<Frame> hello = RecvFrame(conn, &decoder);
-    if (!hello.ok() || hello.value().type != FrameType::kHello) return;
-    WireReader r(hello.value().payload);
-    auto magic = r.U32();
-    auto version = r.U16();
-    auto role = r.U8();
-    std::string problem;
-    if (!magic.ok() || magic.value() != kWireMagic) {
-      problem = "bad magic in hello";
-    } else if (!version.ok() || version.value() != kWireVersion) {
-      problem = "unsupported protocol version";
-    } else if (!role.ok() ||
-               role.value() != static_cast<uint8_t>(WireRole::kBackendClient)) {
-      problem = "expected a backend client hello";
-    }
-    if (!problem.empty()) {
-      WireWriter w;
-      EncodeStatus(Status::InvalidArgument("backend: " + problem), &w);
-      (void)SendFrame(conn, FrameType::kError, w.Take());
-      return;
-    }
-    WireWriter ack;
-    ack.U16(kWireVersion);
-    if (!SendFrame(conn, FrameType::kHelloAck, ack.Take()).ok()) return;
+  if (ServerHello(conn, &decoder, WireRole::kBackendClient) !=
+      HelloOutcome::kAccepted) {
+    return;
   }
 
   // Frames are timestamped the moment they arrive off the socket, THEN
@@ -104,31 +45,45 @@ void BackendServer::ServeConnection(Socket* conn) {
   // answered kDeadlineExceeded without ever invoking its handler.
   std::deque<std::pair<Frame, double>> queue;
   std::string pending;
-  while (running_.load(std::memory_order_acquire)) {
+  size_t peak = 0;
+  // When the read that last fed `decoder` returned: every frame it holds
+  // has been waiting since then.
+  double read_ms = 0.0;
+  while (core_.running()) {
     if (queue.empty()) {
       Result<Frame> first = RecvFrame(conn, &decoder);
       if (!first.ok()) return;  // peer closed / reset / framing error
-      const double now = NowMs();
-      queue.emplace_back(std::move(first.value()), now);
-      // Drain every frame that arrived in the same recv burst: they have
-      // all been waiting since `now`.
-      Frame extra;
-      while (decoder.Next(&extra)) queue.emplace_back(std::move(extra), now);
+      read_ms = NowMs();
+      queue.emplace_back(std::move(first.value()), read_ms);
     }
-    // Before dispatching (possibly into a slow handler), pull any bytes the
-    // kernel has already queued into the frame queue: pipelined calls are
-    // timestamped when they reached this server, not when the calls ahead
-    // of them finished. Errors here (EOF, faults, framing) are left for the
-    // blocking read above to surface once the queue drains.
-    while (true) {
+    // Before dispatching (possibly into a slow handler), pull the rest of
+    // the burst and any bytes the kernel has already queued into the frame
+    // queue: pipelined calls are timestamped when they reached this server,
+    // not when the calls ahead of them finished. The queue stops at
+    // kPipelineDepth frames; past it the bytes stay in the kernel and TCP
+    // backpressures the peer. Errors here (EOF, faults, framing) are left
+    // for the blocking read above to surface once the queue drains.
+    Frame extra;
+    while (queue.size() < kPipelineDepth) {
+      if (decoder.Next(&extra)) {
+        queue.emplace_back(std::move(extra), read_ms);
+        continue;
+      }
       pending.clear();
       Result<size_t> more = conn->RecvSome(&pending, 64 << 10,
                                            /*timeout_ms=*/0);
       if (!more.ok() || more.value() == 0) break;
       if (!decoder.Feed(pending).ok()) break;
-      const double now = NowMs();
-      Frame extra;
-      while (decoder.Next(&extra)) queue.emplace_back(std::move(extra), now);
+      read_ms = NowMs();
+    }
+    if (queue.size() > peak) {
+      peak = queue.size();
+      int64_t seen = peak_queue_depth_.load(std::memory_order_relaxed);
+      while (static_cast<int64_t>(peak) > seen &&
+             !peak_queue_depth_.compare_exchange_weak(
+                 seen, static_cast<int64_t>(peak),
+                 std::memory_order_relaxed)) {
+      }
     }
     // Sweep `kCancel` frames out of the queue before dispatching. A cancel
     // always arrives *behind* the call it names, so the only way it can win
@@ -206,30 +161,14 @@ std::string BackendServer::HandleCall(const std::string& payload,
   WireReader r(payload);
 
   uint64_t call_id = 0;
-  Status parsed = Status::OK();
   std::string interface_name;
   ServiceRequest request;
-  {
-    auto id = r.U64();
-    if (!id.ok()) {
-      parsed = id.status();
-    } else {
-      call_id = id.value();
-      auto name = r.Str();
-      if (!name.ok()) {
-        parsed = name.status();
-      } else {
-        interface_name = name.value();
-        auto req = DecodeServiceRequest(&r);
-        if (!req.ok()) {
-          parsed = req.status();
-        } else {
-          request = std::move(req.value());
-          parsed = r.ExpectEnd();
-        }
-      }
-    }
-  }
+  Status parsed = [&]() -> Status {
+    SECO_ASSIGN_OR_RETURN(call_id, r.U64());
+    SECO_ASSIGN_OR_RETURN(interface_name, r.Str());
+    SECO_ASSIGN_OR_RETURN(request, DecodeServiceRequest(&r));
+    return r.ExpectEnd();
+  }();
 
   reply.U64(call_id);
   if (!parsed.ok()) {

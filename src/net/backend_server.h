@@ -6,12 +6,11 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "common/result.h"
 #include "net/chaos.h"
-#include "net/conn_registry.h"
 #include "net/socket.h"
+#include "net/tcp_server.h"
 #include "service/invocation.h"
 #include "service/registry.h"
 
@@ -32,13 +31,16 @@ struct BackendServerOptions {
 /// round-trip code + message verbatim, so a `FaultModel` behind this server
 /// trips retries and breakers exactly as it does in-process.
 ///
-/// Concurrency model: one acceptor thread plus one thread per connection,
-/// each serving calls serially; parallelism comes from clients opening
-/// several connections (the `RemoteServiceHandler` pools them).
+/// Concurrency model: a `TcpServer` core, so one acceptor thread plus one
+/// thread per connection, each serving calls serially; parallelism comes
+/// from clients opening several connections (the `RemoteServiceHandler`
+/// pools them). A connection queues at most `kPipelineDepth` frames read
+/// ahead of the call being served.
 class BackendServer {
  public:
   explicit BackendServer(BackendServerOptions options = {})
-      : options_(options), chaos_(options.chaos) {}
+      : chaos_(options.chaos),
+        core_(options.chaos.active() ? &chaos_ : nullptr) {}
   ~BackendServer() { Stop(); }
   BackendServer(const BackendServer&) = delete;
   BackendServer& operator=(const BackendServer&) = delete;
@@ -53,14 +55,16 @@ class BackendServer {
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral; see `port()`) and starts the
   /// acceptor thread.
-  Status Start(uint16_t port = 0);
+  Status Start(uint16_t port = 0) {
+    return core_.Start(port, [this](Socket* conn) { Serve(conn); });
+  }
 
   /// Stops accepting, closes every connection, joins all threads.
   /// Idempotent.
-  void Stop();
+  void Stop() { core_.Stop(); }
 
-  uint16_t port() const { return listener_.port(); }
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  uint16_t port() const { return core_.port(); }
+  bool running() const { return core_.running(); }
 
   /// Calls served since `Start` (across all connections).
   int64_t calls_served() const {
@@ -79,28 +83,29 @@ class BackendServer {
     return cancelled_purges_.load(std::memory_order_relaxed);
   }
 
+  /// The most frames any one connection has held queued, the next one to
+  /// serve included; never above `kPipelineDepth`.
+  int64_t peak_queue_depth() const {
+    return peak_queue_depth_.load(std::memory_order_relaxed);
+  }
+
   /// Faults fired by this server's chaos engine (zeros when chaos is off).
   ChaosStats chaos_stats() const { return chaos_.stats(); }
 
  private:
-  void AcceptLoop();
-  void ServeConnection(Socket* conn);
+  void Serve(Socket* conn);
   /// Handles one kCall frame; returns the kCallReply payload. `waited_ms`
   /// is how long the frame sat queued behind earlier calls on this
   /// connection — the deadline-propagation clock.
   std::string HandleCall(const std::string& payload, double waited_ms);
 
   std::map<std::string, std::shared_ptr<ServiceCallHandler>> handlers_;
-  const BackendServerOptions options_;
-  ChaosEngine chaos_;
-  Listener listener_;
-  std::thread acceptor_;
-  std::atomic<bool> running_{false};
   std::atomic<int64_t> calls_served_{0};
   std::atomic<int64_t> deadline_rejections_{0};
   std::atomic<int64_t> cancelled_purges_{0};
-
-  ConnectionRegistry conns_;
+  std::atomic<int64_t> peak_queue_depth_{0};
+  ChaosEngine chaos_;
+  TcpServer core_;
 };
 
 }  // namespace seco

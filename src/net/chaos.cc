@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 
 namespace seco {
 
@@ -148,42 +149,8 @@ void ChaosAfterRecv(ChaosPlan* plan, uint64_t offset, char* data, size_t n) {
   plan->ledger->corruptions.fetch_add(1, std::memory_order_relaxed);
 }
 
-Status ChaosProxy::Start(uint16_t port) {
-  if (running_.exchange(true, std::memory_order_acq_rel)) {
-    return Status::AlreadyExists("chaos proxy already running");
-  }
-  Status listening = listener_.Listen(port);
-  if (!listening.ok()) {
-    running_.store(false, std::memory_order_release);
-    return listening;
-  }
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void ChaosProxy::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  listener_.Close();
-  conns_.ShutdownAll();
-  if (acceptor_.joinable()) acceptor_.join();
-  conns_.JoinAll();
-}
-
-void ChaosProxy::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    Result<Socket> conn = listener_.Accept();
-    if (!conn.ok()) break;
-    std::shared_ptr<ChaosPlan> plan = engine_.PlanConnection();
-    if (plan->refuse) continue;  // drop: the client sees an immediate EOF
-    conns_.Launch(std::move(conn.value()), [this, plan](Socket* client) {
-      client->AttachChaos(plan);
-      PumpPair(client, plan);
-    });
-  }
-}
-
-void ChaosProxy::PumpPair(Socket* client,
-                          const std::shared_ptr<ChaosPlan>& plan) {
+void ChaosProxy::PumpPair(Socket* client) {
+  const ChaosPlan* plan = client->chaos();
   Result<Socket> dialed = ConnectTcp(upstream_host_, upstream_port_, 1000);
   if (!dialed.ok()) return;
   Socket upstream = std::move(dialed.value());
@@ -194,7 +161,7 @@ void ChaosProxy::PumpPair(Socket* client,
   std::atomic<bool> done{false};
   std::thread back([&] {
     std::string buf;
-    while (running_.load(std::memory_order_acquire) &&
+    while (core_.running() &&
            !done.load(std::memory_order_acquire)) {
       buf.clear();
       Result<size_t> n = upstream.RecvSome(&buf, 65536, 200);
@@ -209,7 +176,7 @@ void ChaosProxy::PumpPair(Socket* client,
   });
 
   std::string buf;
-  while (running_.load(std::memory_order_acquire)) {
+  while (core_.running()) {
     buf.clear();
     Result<size_t> n = client->RecvSome(&buf, 65536, 200);
     if (!n.ok()) {

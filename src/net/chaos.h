@@ -5,12 +5,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "common/random.h"
 #include "common/result.h"
-#include "net/conn_registry.h"
 #include "net/socket.h"
+#include "net/tcp_server.h"
 
 namespace seco {
 
@@ -75,13 +74,7 @@ struct ChaosStats {
     return refusals + resets + corruptions + truncations + stalls +
            blackholes;
   }
-  bool operator==(const ChaosStats& o) const {
-    return connections_planned == o.connections_planned &&
-           refusals == o.refusals && resets == o.resets &&
-           corruptions == o.corruptions && truncations == o.truncations &&
-           stalls == o.stalls && blackholes == o.blackholes;
-  }
-  bool operator!=(const ChaosStats& o) const { return !(*this == o); }
+  bool operator==(const ChaosStats&) const = default;
 };
 
 /// Atomic fault counters shared by every plan of one engine.
@@ -136,12 +129,6 @@ struct ChaosPlan {
   std::atomic<bool> blackhole_fired{false};
 
   ChaosLedger* ledger = nullptr;
-
-  bool any() const {
-    return refuse || reset_after != kChaosNever ||
-           corrupt_at != kChaosNever || truncate_after != kChaosNever ||
-           stall_at != kChaosNever || blackhole_after != kChaosNever;
-  }
 };
 
 /// Plans fault schedules for a sequence of connections. Connection ordinals
@@ -162,7 +149,6 @@ class ChaosEngine {
   /// function of (seed, ordinal), nothing else.
   std::shared_ptr<ChaosPlan> PlanConnection(uint64_t ordinal);
 
-  const ChaosOptions& options() const { return options_; }
   ChaosStats stats() const { return ledger_.Snapshot(); }
 
  private:
@@ -198,28 +184,27 @@ class ChaosProxy {
              ChaosOptions options)
       : upstream_host_(std::move(upstream_host)),
         upstream_port_(upstream_port),
-        engine_(options) {}
+        engine_(options),
+        core_(&engine_) {}  // plans every connection, even when inert
   ~ChaosProxy() { Stop(); }
   ChaosProxy(const ChaosProxy&) = delete;
   ChaosProxy& operator=(const ChaosProxy&) = delete;
 
-  Status Start(uint16_t port = 0);
-  void Stop();
+  Status Start(uint16_t port = 0) {
+    return core_.Start(port, [this](Socket* client) { PumpPair(client); });
+  }
+  void Stop() { core_.Stop(); }
 
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return core_.port(); }
   ChaosStats stats() const { return engine_.stats(); }
 
  private:
-  void AcceptLoop();
-  void PumpPair(Socket* client, const std::shared_ptr<ChaosPlan>& plan);
+  void PumpPair(Socket* client);
 
   const std::string upstream_host_;
   const uint16_t upstream_port_;
   ChaosEngine engine_;
-  Listener listener_;
-  std::thread acceptor_;
-  std::atomic<bool> running_{false};
-  ConnectionRegistry conns_;
+  TcpServer core_;
 };
 
 }  // namespace seco

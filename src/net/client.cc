@@ -10,26 +10,8 @@ Result<NetClient> NetClient::Connect(const std::string& host, uint16_t port,
                                      int timeout_ms) {
   SECO_ASSIGN_OR_RETURN(Socket socket, ConnectTcp(host, port, timeout_ms));
   NetClient client(std::move(socket), timeout_ms);
-
-  WireWriter hello;
-  hello.U32(kWireMagic);
-  hello.U16(kWireVersion);
-  hello.U8(static_cast<uint8_t>(WireRole::kQueryClient));
-  SECO_RETURN_IF_ERROR(
-      SendFrame(&client.socket_, FrameType::kHello, hello.Take()));
-  SECO_ASSIGN_OR_RETURN(
-      Frame ack, RecvFrame(&client.socket_, &client.decoder_, timeout_ms));
-  if (ack.type == FrameType::kError) {
-    WireReader r(ack.payload);
-    Status remote = Status::OK();
-    if (DecodeStatus(&r, &remote).ok() && !remote.ok()) return remote;
-    return Status::Unavailable("front end rejected hello");
-  }
-  if (ack.type != FrameType::kHelloAck) {
-    return Status::Unavailable("front end sent unexpected frame " +
-                               std::to_string(static_cast<int>(ack.type)) +
-                               " instead of hello ack");
-  }
+  SECO_RETURN_IF_ERROR(ClientHello(&client.socket_, &client.decoder_,
+                                   WireRole::kQueryClient, timeout_ms));
   return client;
 }
 
@@ -45,10 +27,8 @@ Result<WireResponse> NetClient::Receive() {
   SECO_ASSIGN_OR_RETURN(Frame header,
                         RecvFrame(&socket_, &decoder_, timeout_ms_));
   if (header.type == FrameType::kError) {
-    WireReader r(header.payload);
-    Status remote = Status::OK();
-    if (DecodeStatus(&r, &remote).ok() && !remote.ok()) return remote;
-    return Status::Unavailable("front end protocol error");
+    return ErrorFrameStatus(header.payload,
+                            Status::Unavailable("front end protocol error"));
   }
   if (header.type != FrameType::kResultHeader) {
     return Status::Unavailable("front end sent unexpected frame " +
@@ -74,18 +54,8 @@ Result<WireResponse> NetClient::Receive() {
   while (true) {
     SECO_ASSIGN_OR_RETURN(Frame frame,
                           RecvFrame(&socket_, &decoder_, timeout_ms_));
-    if (frame.type == FrameType::kResultEnd) {
-      WireReader r(frame.payload);
-      SECO_ASSIGN_OR_RETURN(uint64_t id, r.U64());
-      if (id != response.request_id) {
-        return Status::InvalidArgument("wire: result end for request " +
-                                       std::to_string(id) +
-                                       " inside response " +
-                                       std::to_string(response.request_id));
-      }
-      break;
-    }
-    if (frame.type != FrameType::kResultBody) {
+    const bool end = frame.type == FrameType::kResultEnd;
+    if (!end && frame.type != FrameType::kResultBody) {
       return Status::Unavailable(
           "front end sent unexpected frame " +
           std::to_string(static_cast<int>(frame.type)) +
@@ -94,11 +64,12 @@ Result<WireResponse> NetClient::Receive() {
     WireReader r(frame.payload);
     SECO_ASSIGN_OR_RETURN(uint64_t id, r.U64());
     if (id != response.request_id) {
-      return Status::InvalidArgument("wire: body chunk for request " +
-                                     std::to_string(id) +
-                                     " inside response " +
-                                     std::to_string(response.request_id));
+      return Status::InvalidArgument(
+          std::string(end ? "wire: result end" : "wire: body chunk") +
+          " for request " + std::to_string(id) + " inside response " +
+          std::to_string(response.request_id));
     }
+    if (end) break;
     response.body.append(frame.payload, 8, std::string::npos);
   }
   if (response.body.size() != body_len) {

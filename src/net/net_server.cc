@@ -10,19 +10,13 @@
 namespace seco {
 
 NetServer::NetServer(QueryServer* server, NetServerOptions options)
-    : server_(server), options_(options), chaos_(options.chaos) {}
+    : server_(server),
+      options_(options),
+      chaos_(options.chaos),
+      core_(options.chaos.active() ? &chaos_ : nullptr,
+            options.write_timeout_ms) {}
 
 NetServer::~NetServer() { Stop(); }
-
-Status NetServer::Start(uint16_t port) {
-  if (running_.load(std::memory_order_acquire)) {
-    return Status::AlreadyExists("net server already running");
-  }
-  SECO_RETURN_IF_ERROR(listener_.Listen(port));
-  running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
 
 void NetServer::BeginDrain() {
   draining_.store(true, std::memory_order_release);
@@ -30,38 +24,11 @@ void NetServer::BeginDrain() {
 }
 
 void NetServer::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  if (!core_.running()) return;
+  // Drain first: queued queries resolve while the connections still stand,
+  // and a hello racing the stop is refused with a retry-after.
   BeginDrain();
-  listener_.Close();
-  // SHUT_RDWR: readers see EOF and stop pulling, and a writer blocked in
-  // send() against a client that stopped reading fails instead of wedging
-  // the join below.
-  conns_.ShutdownAll();
-  if (acceptor_.joinable()) acceptor_.join();
-  conns_.JoinAll();
-  server_->Drain();
-}
-
-void NetServer::AcceptLoop() {
-  const bool chaotic = options_.chaos.active();
-  while (running_.load(std::memory_order_acquire)) {
-    Result<Socket> conn = listener_.Accept();
-    if (!conn.ok()) break;
-    if (chaotic) {
-      std::shared_ptr<ChaosPlan> plan = chaos_.PlanConnection();
-      // Refusal: drop the accepted socket before any byte — the dialing
-      // client sees an immediate EOF, the loopback equivalent of
-      // ECONNREFUSED.
-      if (plan->refuse) continue;
-      conn.value().AttachChaos(std::move(plan));
-    }
-    if (options_.write_timeout_ms >= 0) {
-      conn.value().SetWriteTimeout(options_.write_timeout_ms);
-    }
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    conns_.Launch(std::move(conn.value()),
-                  [this](Socket* socket) { ServeConnection(socket); });
-  }
+  if (core_.Stop()) server_->Drain();
 }
 
 namespace {
@@ -97,16 +64,16 @@ struct PendingReply {
 };
 
 /// FIFO of in-flight responses shared between a connection's reader (the
-/// ServeConnection thread) and its writer thread. Bounded by
-/// `pipeline_depth`: a full queue blocks the reader, which stops draining
-/// the socket, which backpressures the client through TCP.
+/// Serve thread) and its writer thread. Bounded by `kPipelineDepth`: a
+/// full queue blocks the reader, which stops draining the socket, which
+/// backpressures the client through TCP. A connection therefore holds at
+/// most `kPipelineDepth` + 2 admitted-but-unwritten queries (the queue, the
+/// one the writer holds, and the one the blocked reader is pushing).
 class ReplyQueue {
  public:
-  explicit ReplyQueue(size_t cap) : cap_(cap) {}
-
   void Push(PendingReply reply) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return queue_.size() < cap_; });
+    cv_.wait(lock, [this] { return queue_.size() < kPipelineDepth; });
     queue_.push_back(std::move(reply));
     cv_.notify_all();
   }
@@ -129,43 +96,10 @@ class ReplyQueue {
   }
 
  private:
-  const size_t cap_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<PendingReply> queue_;
   bool closed_ = false;
-};
-
-/// Per-connection cap on queries admitted into the QueryServer but not yet
-/// fully written back. The reader Acquires before submitting, the writer
-/// Releases after the response leaves (or is drained on teardown) — so a
-/// client that streams queries without reading responses is throttled at
-/// the cap instead of filling the executor with work nobody collects.
-class InFlightGate {
- public:
-  explicit InFlightGate(int cap) : cap_(cap) {}
-
-  void Acquire() {
-    if (cap_ <= 0) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return count_ < cap_; });
-    ++count_;
-  }
-
-  void Release() {
-    if (cap_ <= 0) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --count_;
-    }
-    cv_.notify_one();
-  }
-
- private:
-  const int cap_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int count_ = 0;
 };
 
 /// Wire request id -> QueryServer submission id for this connection's
@@ -210,58 +144,31 @@ class OutstandingMap {
 
 }  // namespace
 
-void NetServer::ServeConnection(Socket* conn) {
+void NetServer::Serve(Socket* conn) {
+  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
   FrameDecoder decoder;
-
-  // Hello handshake. (Single-threaded until the writer spawns below, so
-  // these direct sends cannot interleave with anything.)
-  {
-    Result<Frame> hello = RecvFrame(conn, &decoder, options_.idle_timeout_ms);
-    if (!hello.ok() || hello.value().type != FrameType::kHello) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    WireReader r(hello.value().payload);
-    auto magic = r.U32();
-    auto version = r.U16();
-    auto role = r.U8();
-    Status problem = Status::OK();
-    if (!magic.ok() || magic.value() != kWireMagic) {
-      problem = Status::InvalidArgument("front end: bad magic in hello");
-    } else if (!version.ok() || version.value() != kWireVersion) {
-      problem =
-          Status::Unsupported("front end: unsupported protocol version");
-    } else if (!role.ok() ||
-               role.value() != static_cast<uint8_t>(WireRole::kQueryClient)) {
-      problem =
-          Status::InvalidArgument("front end: expected a query client hello");
-    } else if (draining_.load(std::memory_order_acquire)) {
-      // The wire-level drain refusal: a structured kRejected plus a
-      // retry-after, so load generators back off instead of erroring out.
-      double retry_after = server_->options().retry_after_ms;
-      WireWriter w;
-      EncodeStatus(Status::Rejected("front end draining; retry after " +
-                                    std::to_string(retry_after) + " ms"),
-                   &w);
-      w.F64(retry_after);
-      (void)SendFrame(conn, FrameType::kError, w.Take());
-      return;
-    }
-    if (!problem.ok()) {
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      WireWriter w;
-      EncodeStatus(problem, &w);
-      (void)SendFrame(conn, FrameType::kError, w.Take());
-      return;
-    }
-    WireWriter ack;
-    ack.U16(kWireVersion);
-    if (!SendFrame(conn, FrameType::kHelloAck, ack.Take()).ok()) return;
+  // Single-threaded until the writer spawns below, so the handshake's
+  // direct sends cannot interleave with anything.
+  HelloOutcome hello = ServerHello(
+      conn, &decoder, WireRole::kQueryClient, options_.idle_timeout_ms,
+      [this]() -> std::string {
+        if (!draining_.load(std::memory_order_acquire)) return {};
+        // The wire-level drain refusal: a structured kRejected plus a
+        // retry-after, so load generators back off instead of erroring.
+        double retry_after = server_->options().retry_after_ms;
+        WireWriter w;
+        EncodeStatus(Status::Rejected("front end draining; retry after " +
+                                      std::to_string(retry_after) + " ms"),
+                     &w);
+        w.F64(retry_after);
+        return w.Take();
+      });
+  if (hello == HelloOutcome::kInvalid) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (hello != HelloOutcome::kAccepted) return;
 
-  ReplyQueue replies(static_cast<size_t>(
-      options_.pipeline_depth > 0 ? options_.pipeline_depth : 1));
-  InFlightGate gate(options_.max_conn_in_flight);
+  ReplyQueue replies;
   OutstandingMap outstanding;
 
   // Writer: pops replies FIFO (request order) and frames them out. From
@@ -269,7 +176,7 @@ void NetServer::ServeConnection(Socket* conn) {
   // pongs and protocol errors through the queue rather than sending them
   // itself, so frames can never interleave mid-response. Waiting on the
   // head future blocks only this connection's writes.
-  std::thread writer([this, conn, &replies, &gate, &outstanding] {
+  std::thread writer([this, conn, &replies, &outstanding] {
     // Classifies send failures so a slow-loris kill (write-progress
     // deadline) is ledgered separately from ordinary disconnects.
     auto send = [this, conn](FrameType type, std::string payload) {
@@ -320,9 +227,6 @@ void NetServer::ServeConnection(Socket* conn) {
         end.U64(reply.request_id);
         wrote = send(FrameType::kResultEnd, end.Take());
       }
-      // The gate slot frees whether or not the bytes landed — the query's
-      // trip through the executor is over either way.
-      gate.Release();
       if (!wrote) {
         socket_dead = true;
         continue;
@@ -332,18 +236,16 @@ void NetServer::ServeConnection(Socket* conn) {
     if (socket_dead) {
       // Unblock a reader mid-recv on this socket: with the write side
       // dead no response can ever be delivered, so parsing further
-      // queries is pointless (and a gate-blocked reader would deadlock
-      // against a writer that no longer writes).
+      // queries is pointless.
       conn->ShutdownRead();
     }
     // Keep draining futures even if the socket died: every accepted
-    // submission must be consumed so Stop()'s Drain() cannot wedge, and
-    // every gate slot must free so the reader can reach its own exit.
+    // submission must be consumed so Stop()'s Drain() cannot wedge, and the
+    // queue must keep emptying so a reader blocked in Push reaches its exit.
     while (replies.Pop(&reply)) {
       if (reply.kind == PendingReply::Kind::kQuery) {
         if (!reply.immediate.has_value()) (void)reply.future.get();
         outstanding.Erase(reply.request_id);
-        gate.Release();
       }
     }
   });
@@ -413,10 +315,6 @@ void NetServer::ServeConnection(Socket* conn) {
 
     PendingReply reply;
     reply.request_id = request_id.value();
-    // Take a gate slot before the query touches the executor; the writer
-    // returns it once the response is fully written (or drained). Blocks
-    // here — not in the executor — when the connection is over its cap.
-    gate.Acquire();
     if (!request.ok()) {
       // A malformed query payload fails that request, not the connection:
       // the id is known, so the client gets a well-formed kFailed answer.

@@ -3,30 +3,21 @@
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 
 #include "common/result.h"
 #include "net/chaos.h"
-#include "net/conn_registry.h"
 #include "net/socket.h"
+#include "net/tcp_server.h"
 #include "server/server.h"
 
 namespace seco {
 
-/// Front-end knobs.
+/// Front-end knobs. The pipelining cap is the shared `kPipelineDepth`.
 struct NetServerOptions {
-  /// Responses a connection may have in flight before its reader stops
-  /// pulling new queries off the socket — the pipelining cap. Backpressure
-  /// then propagates to the client through TCP.
-  int pipeline_depth = 64;
-  /// Idle receive timeout for keep-alive connections, ms; < 0 waits
-  /// forever.
+  /// Idle receive timeout for keep-alive connections, ms: a connection
+  /// that sends nothing for this long (the hello included) is closed.
+  /// < 0 waits forever.
   int idle_timeout_ms = -1;
-  /// Queries a connection may have admitted into the QueryServer but not
-  /// yet fully written back. Distinct from `pipeline_depth` (which bounds
-  /// the reply FIFO): this bounds *work*, so one connection spraying
-  /// queries cannot monopolize the executor. <= 0 disables the gate.
-  int max_conn_in_flight = 0;
   /// Write-progress deadline per connection, ms: a peer that submits
   /// queries and then stops reading (slow loris) fails its writer with
   /// kDeadlineExceeded instead of wedging a server thread in send().
@@ -38,7 +29,8 @@ struct NetServerOptions {
 };
 
 /// TCP listener in front of a `QueryServer` (docs/NETWORK.md): speaks the
-/// framed query protocol on its own acceptor + per-connection io threads,
+/// framed query protocol on a `TcpServer` core, with a reader and a
+/// writer thread per connection,
 /// parses `kQuery` frames into `QueryRequest`s, and maps each
 /// `ServedOutcome` — including admission shedding with its retry-after
 /// hint — onto a wire status in the result header. Answer bodies are the
@@ -59,7 +51,9 @@ class NetServer {
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral; see `port()`) and starts the
   /// acceptor thread.
-  Status Start(uint16_t port = 0);
+  Status Start(uint16_t port = 0) {
+    return core_.Start(port, [this](Socket* conn) { Serve(conn); });
+  }
 
   /// Graceful-shutdown entry (SIGINT/SIGTERM): puts the `QueryServer`
   /// into draining mode — in-flight queries finish, new submissions shed
@@ -74,8 +68,8 @@ class NetServer {
   /// Idempotent.
   void Stop();
 
-  uint16_t port() const { return listener_.port(); }
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  uint16_t port() const { return core_.port(); }
+  bool running() const { return core_.running(); }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
   int64_t connections_accepted() const {
@@ -108,15 +102,10 @@ class NetServer {
   ChaosStats chaos_stats() const { return chaos_.stats(); }
 
  private:
-  void AcceptLoop();
-  void ServeConnection(Socket* conn);
+  void Serve(Socket* conn);
 
   QueryServer* const server_;
   const NetServerOptions options_;
-  ChaosEngine chaos_;
-  Listener listener_;
-  std::thread acceptor_;
-  std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   std::atomic<int64_t> connections_accepted_{0};
   std::atomic<int64_t> queries_served_{0};
@@ -124,8 +113,8 @@ class NetServer {
   std::atomic<int64_t> write_stalls_{0};
   std::atomic<int64_t> cancels_received_{0};
   std::atomic<int64_t> disconnect_cancels_{0};
-
-  ConnectionRegistry conns_;
+  ChaosEngine chaos_;
+  TcpServer core_;
 };
 
 }  // namespace seco

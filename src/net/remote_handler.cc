@@ -14,6 +14,37 @@ double NowMs() {
       .count();
 }
 
+/// Decodes a `kCallReply` payload into the handler's verdict. A reply that
+/// is malformed, or answers some other call (a stale reply on a stream that
+/// should have been discarded), leaves `*damaged` set: its status is
+/// transport damage, not the handler's.
+Result<ServiceResponse> DecodeCallReply(const std::string& payload,
+                                        uint64_t call_id, bool* damaged) {
+  *damaged = true;
+  WireReader r(payload);
+  SECO_ASSIGN_OR_RETURN(uint64_t reply_id, r.U64());
+  if (reply_id != call_id) {
+    return Status::Unavailable("backend reply id " + std::to_string(reply_id) +
+                               " does not match call id " +
+                               std::to_string(call_id));
+  }
+  SECO_ASSIGN_OR_RETURN(bool ok, r.Bool());
+  if (!ok) {
+    Status remote = Status::OK();
+    SECO_RETURN_IF_ERROR(DecodeStatus(&r, &remote));
+    SECO_RETURN_IF_ERROR(r.ExpectEnd());
+    *damaged = false;
+    if (remote.ok()) {
+      return Status::Unavailable("backend reported failure without status");
+    }
+    return remote;
+  }
+  SECO_ASSIGN_OR_RETURN(ServiceResponse response, DecodeServiceResponse(&r));
+  SECO_RETURN_IF_ERROR(r.ExpectEnd());
+  *damaged = false;
+  return response;
+}
+
 }  // namespace
 
 RemoteBackendClient::RemoteBackendClient(std::string host, uint16_t port,
@@ -121,37 +152,10 @@ Result<RemoteBackendClient::Checked> RemoteBackendClient::Dial(
 
   // Hello handshake on the fresh connection. The recv is always bounded:
   // a peer that accepts the dial but never answers must fail the dial, not
-  // hang it — and it fails as kUnavailable (a transport fault the retry
-  // loop may heal on another endpoint), never kDeadlineExceeded.
-  WireWriter hello;
-  hello.U32(kWireMagic);
-  hello.U16(kWireVersion);
-  hello.U8(static_cast<uint8_t>(WireRole::kBackendClient));
-  SECO_RETURN_IF_ERROR(
-      SendFrame(&conn->socket, FrameType::kHello, hello.Take()));
-  Result<Frame> ack = RecvFrame(&conn->socket, &conn->decoder,
-                                options_.handshake_timeout_ms);
-  if (!ack.ok()) {
-    if (ack.status().code() == StatusCode::kDeadlineExceeded) {
-      return Status::Unavailable("backend handshake timed out: " +
-                                 ack.status().message());
-    }
-    return ack.status();
-  }
-  if (ack.value().type == FrameType::kError) {
-    WireReader r(ack.value().payload);
-    Status remote = Status::OK();
-    if (!DecodeStatus(&r, &remote).ok() || remote.ok()) {
-      return Status::Unavailable("backend rejected hello");
-    }
-    return remote;
-  }
-  if (ack.value().type != FrameType::kHelloAck) {
-    return Status::Unavailable(
-        "backend sent unexpected frame " +
-        std::to_string(static_cast<int>(ack.value().type)) +
-        " instead of hello ack");
-  }
+  // hang it.
+  SECO_RETURN_IF_ERROR(ClientHello(&conn->socket, &conn->decoder,
+                                   WireRole::kBackendClient,
+                                   options_.handshake_timeout_ms));
   Checked checked;
   checked.conn = std::move(conn);
   checked.endpoint = endpoint_index;
@@ -420,80 +424,29 @@ Result<ServiceResponse> RemoteBackendClient::Call(
       // The backend spoke the protocol to reject us (bad frame type,
       // undecodable call). Deliberate, not transport damage — surface it.
       connections_discarded_.fetch_add(1, std::memory_order_relaxed);
-      WireReader r(frame.value().payload);
-      Status remote = Status::OK();
-      if (!DecodeStatus(&r, &remote).ok() || remote.ok()) {
-        return Status::Unavailable("backend protocol error");
-      }
-      return remote;
+      return ErrorFrameStatus(frame.value().payload,
+                              Status::Unavailable("backend protocol error"));
     }
-    if (frame.value().type != FrameType::kCallReply) {
+    bool damaged = true;
+    Result<ServiceResponse> verdict =
+        frame.value().type == FrameType::kCallReply
+            ? DecodeCallReply(frame.value().payload, call_id, &damaged)
+            : Status::Unavailable(
+                  "backend sent unexpected frame " +
+                  std::to_string(static_cast<int>(frame.value().type)) +
+                  " instead of a call reply");
+    if (damaged) {
       NoteTransportFailure(checked.endpoint);
       connections_discarded_.fetch_add(1, std::memory_order_relaxed);
-      last = Status::Unavailable(
-          "backend sent unexpected frame " +
-          std::to_string(static_cast<int>(frame.value().type)) +
-          " instead of a call reply");
+      last = verdict.status();
       continue;
     }
-
-    WireReader r(frame.value().payload);
-    auto reply_id = r.U64();
-    if (!reply_id.ok()) {
-      NoteTransportFailure(checked.endpoint);
-      connections_discarded_.fetch_add(1, std::memory_order_relaxed);
-      last = reply_id.status();
-      continue;
-    }
-    if (reply_id.value() != call_id) {
-      // A stale reply (the answer to some earlier call on a stream that
-      // should have been discarded) must never be attributed to this one.
-      NoteTransportFailure(checked.endpoint);
-      connections_discarded_.fetch_add(1, std::memory_order_relaxed);
-      last = Status::Unavailable(
-          "backend reply id " + std::to_string(reply_id.value()) +
-          " does not match call id " + std::to_string(call_id));
-      continue;
-    }
-    auto ok = r.Bool();
-    if (!ok.ok()) {
-      NoteTransportFailure(checked.endpoint);
-      connections_discarded_.fetch_add(1, std::memory_order_relaxed);
-      last = ok.status();
-      continue;
-    }
-    if (!ok.value()) {
-      Status remote = Status::OK();
-      Status decoded = DecodeStatus(&r, &remote);
-      if (decoded.ok()) decoded = r.ExpectEnd();
-      if (!decoded.ok()) {
-        NoteTransportFailure(checked.endpoint);
-        connections_discarded_.fetch_add(1, std::memory_order_relaxed);
-        last = decoded;
-        continue;
-      }
-      // The protocol exchange itself succeeded: the connection is healthy
-      // and the handler's status must round-trip verbatim, un-retried —
-      // the reliability layer upstream decides what a fault status means.
-      NoteSuccess(checked.endpoint);
-      CheckIn(checked.endpoint, std::move(checked.conn));
-      if (remote.ok()) {
-        return Status::Unavailable(
-            "backend reported failure without status");
-      }
-      return remote;
-    }
-    auto response = DecodeServiceResponse(&r);
-    Status tail = response.ok() ? r.ExpectEnd() : response.status();
-    if (!tail.ok()) {
-      NoteTransportFailure(checked.endpoint);
-      connections_discarded_.fetch_add(1, std::memory_order_relaxed);
-      last = tail;
-      continue;
-    }
+    // The protocol exchange itself succeeded: the connection is healthy
+    // and the handler's verdict round-trips verbatim, un-retried — the
+    // reliability layer upstream decides what a fault status means.
     NoteSuccess(checked.endpoint);
     CheckIn(checked.endpoint, std::move(checked.conn));
-    return std::move(response.value());
+    return verdict;
   }
   return last;
 }

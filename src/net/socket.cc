@@ -19,6 +19,11 @@ std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
+/// The daemon that serves peers announcing `role`, for status messages.
+std::string ServerName(WireRole role) {
+  return role == WireRole::kQueryClient ? "front end" : "backend";
+}
+
 }  // namespace
 
 void Socket::Close() {
@@ -240,6 +245,77 @@ Result<Frame> RecvFrame(Socket* socket, FrameDecoder* decoder,
     SECO_RETURN_IF_ERROR(decoder->Feed(bytes));
   }
   return frame;
+}
+
+Status ClientHello(Socket* socket, FrameDecoder* decoder, WireRole role,
+                   int timeout_ms) {
+  const std::string server = ServerName(role);
+  WireWriter hello;
+  hello.U32(kWireMagic);
+  hello.U16(kWireVersion);
+  hello.U8(static_cast<uint8_t>(role));
+  SECO_RETURN_IF_ERROR(SendFrame(socket, FrameType::kHello, hello.Take()));
+  Result<Frame> ack = RecvFrame(socket, decoder, timeout_ms);
+  if (!ack.ok()) {
+    if (ack.status().code() == StatusCode::kDeadlineExceeded) {
+      return Status::Unavailable(server + " handshake timed out: " +
+                                 ack.status().message());
+    }
+    return ack.status();
+  }
+  if (ack.value().type == FrameType::kError) {
+    return ErrorFrameStatus(ack.value().payload,
+                            Status::Unavailable(server + " rejected hello"));
+  }
+  if (ack.value().type != FrameType::kHelloAck) {
+    return Status::Unavailable(
+        server + " sent unexpected frame " +
+        std::to_string(static_cast<int>(ack.value().type)) +
+        " instead of hello ack");
+  }
+  return Status::OK();
+}
+
+HelloOutcome ServerHello(Socket* socket, FrameDecoder* decoder, WireRole role,
+                         int timeout_ms,
+                         const std::function<std::string()>& refusal) {
+  Result<Frame> hello = RecvFrame(socket, decoder, timeout_ms);
+  if (!hello.ok() || hello.value().type != FrameType::kHello) {
+    return HelloOutcome::kInvalid;
+  }
+  const std::string server = ServerName(role);
+  WireReader r(hello.value().payload);
+  auto magic = r.U32();
+  auto version = r.U16();
+  auto announced = r.U8();
+  Status problem = Status::OK();
+  if (!magic.ok() || magic.value() != kWireMagic) {
+    problem = Status::InvalidArgument(server + ": bad magic in hello");
+  } else if (!version.ok() || version.value() != kWireVersion) {
+    problem = Status::Unsupported(server + ": unsupported protocol version");
+  } else if (!announced.ok() ||
+             announced.value() != static_cast<uint8_t>(role)) {
+    problem = Status::InvalidArgument(
+        server + ": expected a " +
+        (role == WireRole::kQueryClient ? "query client" : "backend client") +
+        " hello");
+  }
+  if (!problem.ok()) {
+    WireWriter w;
+    EncodeStatus(problem, &w);
+    (void)SendFrame(socket, FrameType::kError, w.Take());
+    return HelloOutcome::kInvalid;
+  }
+  const std::string refused = refusal ? refusal() : std::string();
+  if (!refused.empty()) {
+    (void)SendFrame(socket, FrameType::kError, refused);
+    return HelloOutcome::kRefused;
+  }
+  WireWriter ack;
+  ack.U16(kWireVersion);
+  return SendFrame(socket, FrameType::kHelloAck, ack.Take()).ok()
+             ? HelloOutcome::kAccepted
+             : HelloOutcome::kRefused;
 }
 
 }  // namespace seco

@@ -2,6 +2,7 @@
 #define SECO_NET_SOCKET_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -75,6 +76,8 @@ class Socket {
   void AttachChaos(std::shared_ptr<ChaosPlan> plan) {
     chaos_ = std::move(plan);
   }
+  /// The attached fault schedule, or nullptr.
+  ChaosPlan* chaos() const { return chaos_.get(); }
 
   /// Write-progress deadline: once set (>= 0 ms), `SendAll` fails with
   /// `kDeadlineExceeded` whenever the peer accepts no bytes for that long —
@@ -135,6 +138,32 @@ inline Status SendFrame(Socket* socket, FrameType type,
 /// (`kDeadlineExceeded`).
 Result<Frame> RecvFrame(Socket* socket, FrameDecoder* decoder,
                         int timeout_ms = -1);
+
+/// Client side of the hello handshake (docs/NETWORK.md): announces `role`
+/// with the protocol magic and version, then waits up to `timeout_ms` for
+/// the ack. A server's refusal comes back as the status it sent (a
+/// draining front end's `kRejected`, a role or version mismatch); a peer
+/// that accepts the dial but never answers fails `kUnavailable` — a
+/// transport fault a caller may retry elsewhere, never `kDeadlineExceeded`.
+Status ClientHello(Socket* socket, FrameDecoder* decoder, WireRole role,
+                   int timeout_ms = -1);
+
+/// How the server side of a hello handshake ended.
+enum class HelloOutcome {
+  kAccepted,  ///< valid hello, ack sent: serve the connection
+  kRefused,   ///< valid hello, but refused by the caller or the ack failed
+  kInvalid,   ///< no hello, or one failing its checks: a protocol error
+};
+
+/// Server side of the hello handshake: reads one frame (waiting up to
+/// `timeout_ms`) and checks it is a hello carrying the protocol magic,
+/// version and `role`. A hello failing a check is answered with a kError
+/// naming the mismatch. A valid one is answered with a kHelloAck, unless
+/// `refusal` returns a non-empty payload, which is sent as a kError
+/// instead (the front end's drain refusal).
+HelloOutcome ServerHello(Socket* socket, FrameDecoder* decoder, WireRole role,
+                         int timeout_ms = -1,
+                         const std::function<std::string()>& refusal = {});
 
 }  // namespace seco
 

@@ -385,52 +385,19 @@ void EncodeStatus(const Status& status, WireWriter* w) {
 Status DecodeStatus(WireReader* r, Status* out) {
   SECO_ASSIGN_OR_RETURN(uint8_t code, r->U8());
   SECO_ASSIGN_OR_RETURN(std::string message, r->Str());
-  switch (static_cast<StatusCode>(code)) {
-    case StatusCode::kOk:
-      *out = Status::OK();
-      return Status::OK();
-    case StatusCode::kInvalidArgument:
-      *out = Status::InvalidArgument(std::move(message));
-      return Status::OK();
-    case StatusCode::kNotFound:
-      *out = Status::NotFound(std::move(message));
-      return Status::OK();
-    case StatusCode::kAlreadyExists:
-      *out = Status::AlreadyExists(std::move(message));
-      return Status::OK();
-    case StatusCode::kParseError:
-      *out = Status::ParseError(std::move(message));
-      return Status::OK();
-    case StatusCode::kInfeasible:
-      *out = Status::Infeasible(std::move(message));
-      return Status::OK();
-    case StatusCode::kTypeError:
-      *out = Status::TypeError(std::move(message));
-      return Status::OK();
-    case StatusCode::kInternal:
-      *out = Status::Internal(std::move(message));
-      return Status::OK();
-    case StatusCode::kUnsupported:
-      *out = Status::Unsupported(std::move(message));
-      return Status::OK();
-    case StatusCode::kResourceExhausted:
-      *out = Status::ResourceExhausted(std::move(message));
-      return Status::OK();
-    case StatusCode::kUnavailable:
-      *out = Status::Unavailable(std::move(message));
-      return Status::OK();
-    case StatusCode::kDeadlineExceeded:
-      *out = Status::DeadlineExceeded(std::move(message));
-      return Status::OK();
-    case StatusCode::kRejected:
-      *out = Status::Rejected(std::move(message));
-      return Status::OK();
-    case StatusCode::kCancelled:
-      *out = Status::Cancelled(std::move(message));
-      return Status::OK();
+  if (code > static_cast<uint8_t>(StatusCode::kCancelled)) {
+    return Status::InvalidArgument("wire: unknown status code " +
+                                   std::to_string(code));
   }
-  return Status::InvalidArgument("wire: unknown status code " +
-                                 std::to_string(code));
+  *out = Status::FromCode(static_cast<StatusCode>(code), std::move(message));
+  return Status::OK();
+}
+
+Status ErrorFrameStatus(const std::string& payload, Status fallback) {
+  WireReader r(payload);
+  Status remote = Status::OK();
+  if (DecodeStatus(&r, &remote).ok() && !remote.ok()) return remote;
+  return fallback;
 }
 
 void EncodeServiceRequest(const ServiceRequest& request, WireWriter* w) {
@@ -533,7 +500,9 @@ Result<QueryRequest> DecodeQueryRequest(const std::string& payload) {
 
 namespace {
 
-constexpr uint8_t kAnswerBodyVersion = 1;
+/// v2: a lost service carries only its interface name (see
+/// `EncodeReliability`).
+constexpr uint8_t kAnswerBodyVersion = 2;
 
 void EncodeCombination(const Combination& combo, WireWriter* w) {
   w->U32(static_cast<uint32_t>(combo.components.size()));
@@ -613,12 +582,12 @@ void EncodeReliability(const ReliabilityStats& stats, WireWriter* w) {
     w->I32(b.consecutive_failures);
     w->I64(b.short_circuits);
   }
+  // Only the set of lost interfaces is deterministic: which request lost
+  // the race between speculation and the demand path (and so `ordinal`,
+  // `reason` and `breaker_open`) depends on the schedule.
   w->U32(static_cast<uint32_t>(stats.services_lost.size()));
   for (const ServiceLostEvent& e : stats.services_lost) {
     w->Str(e.interface_name);
-    w->U64(e.ordinal);
-    w->Str(e.reason);
-    w->Bool(e.breaker_open);
   }
 }
 
@@ -651,9 +620,6 @@ Status DecodeReliability(WireReader* r, ReliabilityStats* stats) {
   for (uint32_t i = 0; i < num_lost; ++i) {
     ServiceLostEvent e;
     SECO_ASSIGN_OR_RETURN(e.interface_name, r->Str());
-    SECO_ASSIGN_OR_RETURN(e.ordinal, r->U64());
-    SECO_ASSIGN_OR_RETURN(e.reason, r->Str());
-    SECO_ASSIGN_OR_RETURN(e.breaker_open, r->Bool());
     stats->services_lost.push_back(std::move(e));
   }
   return Status::OK();

@@ -220,6 +220,9 @@ void EncodeStatus(const Status& status, WireWriter* w);
 /// Decodes into `*out`; the returned Status reports decode problems
 /// (truncation, unknown code), not the decoded value.
 Status DecodeStatus(WireReader* r, Status* out);
+/// The error a peer sent as a `kError` frame payload, or `fallback` when the
+/// payload does not decode to one.
+Status ErrorFrameStatus(const std::string& payload, Status fallback);
 
 void EncodeServiceRequest(const ServiceRequest& request, WireWriter* w);
 Result<ServiceRequest> DecodeServiceRequest(WireReader* r);
@@ -240,10 +243,12 @@ Result<QueryRequest> DecodeQueryRequest(const std::string& payload);
 /// Serializes the deterministic content of a `QueryResponse` — outcome,
 /// status, degradation level, answers, and the simulated-clock telemetry —
 /// into the canonical *answer body*. Wall-clock measurements
-/// (`wall_clock_ms`, `queue_wait_ms`, `repair.replan_ms`), traces, and the
-/// columnar diagnostics are excluded: they vary run to run, everything
-/// encoded here is bit-reproducible. The equivalence oracle compares these
-/// bodies byte for byte between wire-mode and in-process runs.
+/// (`wall_clock_ms`, `queue_wait_ms`, `repair.replan_ms`), traces, the
+/// columnar diagnostics, and the schedule-dependent loss diagnostics
+/// (`services_lost[].ordinal/reason/breaker_open`) are excluded: they vary
+/// run to run, everything encoded here is bit-reproducible. The equivalence
+/// oracle compares these bodies byte for byte between wire-mode and
+/// in-process runs.
 std::string EncodeAnswerBody(const QueryResponse& response);
 Result<QueryResponse> DecodeAnswerBody(const std::string& payload);
 

@@ -158,17 +158,8 @@ TEST(NetCancelTest, BackendServerPurgesQueuedCancelledCall) {
   Result<Socket> conn = ConnectTcp("127.0.0.1", server.port());
   ASSERT_TRUE(conn.ok()) << conn.status().ToString();
   FrameDecoder decoder;
-  {
-    WireWriter hello;
-    hello.U32(kWireMagic);
-    hello.U16(kWireVersion);
-    hello.U8(static_cast<uint8_t>(WireRole::kBackendClient));
-    ASSERT_TRUE(
-        SendFrame(&conn.value(), FrameType::kHello, hello.Take()).ok());
-    Result<Frame> ack = RecvFrame(&conn.value(), &decoder);
-    ASSERT_TRUE(ack.ok());
-    ASSERT_EQ(ack.value().type, FrameType::kHelloAck);
-  }
+  ASSERT_TRUE(
+      ClientHello(&conn.value(), &decoder, WireRole::kBackendClient).ok());
 
   std::string burst;
   for (uint64_t id = 1; id <= 2; ++id) {

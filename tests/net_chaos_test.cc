@@ -682,14 +682,9 @@ TEST(NetChaosTest, TransportedDeadlineRejectsCallsThatQueuedPastTheirBudget) {
   Result<Socket> sock = ConnectTcp("127.0.0.1", server.port(), 1000);
   ASSERT_TRUE(sock.ok()) << sock.status().ToString();
   FrameDecoder decoder;
-  WireWriter hello;
-  hello.U32(kWireMagic);
-  hello.U16(kWireVersion);
-  hello.U8(static_cast<uint8_t>(WireRole::kBackendClient));
-  ASSERT_TRUE(SendFrame(&sock.value(), FrameType::kHello, hello.Take()).ok());
-  Result<Frame> ack = RecvFrame(&sock.value(), &decoder, 1000);
-  ASSERT_TRUE(ack.ok());
-  ASSERT_EQ(ack.value().type, FrameType::kHelloAck);
+  ASSERT_TRUE(
+      ClientHello(&sock.value(), &decoder, WireRole::kBackendClient, 1000)
+          .ok());
 
   auto encode_call = [](uint64_t id, double deadline_ms) {
     ServiceRequest request;
@@ -730,6 +725,53 @@ TEST(NetChaosTest, TransportedDeadlineRejectsCallsThatQueuedPastTheirBudget) {
   }
   EXPECT_EQ(server.deadline_rejections(), 1);
   EXPECT_EQ(server.calls_served(), 1);  // the handler never saw call 2
+  sock.value().Close();
+  server.Stop();
+}
+
+TEST(NetChaosTest, BackendFrameQueueStopsAtThePipelineDepth) {
+  BackendServer server;
+  // Only the first call is slow: the whole burst lands while it runs.
+  server.RegisterHandler("Slow", std::make_shared<SlowEchoHandler>(100, 1));
+  ASSERT_TRUE(server.Start().ok());
+
+  Result<Socket> sock = ConnectTcp("127.0.0.1", server.port(), 1000);
+  ASSERT_TRUE(sock.ok()) << sock.status().ToString();
+  FrameDecoder decoder;
+  ASSERT_TRUE(
+      ClientHello(&sock.value(), &decoder, WireRole::kBackendClient, 1000)
+          .ok());
+
+  // A pipelined burst many times the cap, sent from its own thread so a
+  // backpressured send cannot deadlock against the replies read below.
+  constexpr uint64_t kCalls = 8 * kPipelineDepth;
+  std::string burst;
+  for (uint64_t id = 1; id <= kCalls; ++id) {
+    ServiceRequest request;
+    request.chunk_index = static_cast<int>(id);
+    WireWriter w;
+    w.U64(id);
+    w.Str("Slow");
+    EncodeServiceRequest(request, &w);
+    burst += EncodeFrame(FrameType::kCall, w.Take());
+  }
+  Status sent = Status::OK();
+  std::thread sender([&] { sent = sock.value().SendAll(burst); });
+
+  // Every call is still answered, in order.
+  for (uint64_t id = 1; id <= kCalls; ++id) {
+    Result<Frame> reply = RecvFrame(&sock.value(), &decoder, 5000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    WireReader r(reply.value().payload);
+    EXPECT_EQ(r.U64().value(), id);
+    EXPECT_TRUE(r.Bool().value());
+  }
+  sender.join();
+  EXPECT_TRUE(sent.ok()) << sent.ToString();
+  EXPECT_EQ(server.calls_served(), static_cast<int64_t>(kCalls));
+  // The server read ahead no further than the cap; the rest of the burst
+  // waited in the kernel.
+  EXPECT_EQ(server.peak_queue_depth(), static_cast<int64_t>(kPipelineDepth));
   sock.value().Close();
   server.Stop();
 }

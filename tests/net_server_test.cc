@@ -12,7 +12,10 @@
 #include <memory>
 #include <string>
 
+#include "net/backend_server.h"
+#include "net/chaos.h"
 #include "net/client.h"
+#include "net/remote_handler.h"
 #include "net/wire.h"
 #include "server/server.h"
 #include "sim/fixtures.h"
@@ -49,19 +52,14 @@ Harness MakeHarness(ServerOptions options = {}) {
   return h;
 }
 
-/// Dials the front end and completes the query-client hello by hand, for
-/// tests that need to send raw (malformed) frames afterwards.
+/// Dials the front end and completes the query-client hello, for tests
+/// that need to send raw (malformed) frames afterwards.
 Socket RawHello(uint16_t port, FrameDecoder* decoder) {
   Result<Socket> conn = ConnectTcp("127.0.0.1", port);
   EXPECT_TRUE(conn.ok()) << conn.status().ToString();
-  WireWriter hello;
-  hello.U32(kWireMagic);
-  hello.U16(kWireVersion);
-  hello.U8(static_cast<uint8_t>(WireRole::kQueryClient));
-  EXPECT_TRUE(SendFrame(&conn.value(), FrameType::kHello, hello.Take()).ok());
-  Result<Frame> ack = RecvFrame(&conn.value(), decoder);
-  EXPECT_TRUE(ack.ok());
-  EXPECT_EQ(ack.value().type, FrameType::kHelloAck);
+  Status hello =
+      ClientHello(&conn.value(), decoder, WireRole::kQueryClient, 1000);
+  EXPECT_TRUE(hello.ok()) << hello.ToString();
   return std::move(conn.value());
 }
 
@@ -307,17 +305,50 @@ TEST(NetServerTest, BackendRoleHelloIsRefused) {
   Harness h = MakeHarness();
   Result<Socket> conn = ConnectTcp("127.0.0.1", h.net->port());
   ASSERT_TRUE(conn.ok());
-  WireWriter hello;
-  hello.U32(kWireMagic);
-  hello.U16(kWireVersion);
-  hello.U8(static_cast<uint8_t>(WireRole::kBackendClient));
-  ASSERT_TRUE(
-      SendFrame(&conn.value(), FrameType::kHello, hello.Take()).ok());
   FrameDecoder decoder;
-  Result<Frame> reply = RecvFrame(&conn.value(), &decoder);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_EQ(reply.value().type, FrameType::kError);
+  Status hello =
+      ClientHello(&conn.value(), &decoder, WireRole::kBackendClient, 1000);
+  // The front end answers the wrong role with a kError, decoded here.
+  EXPECT_EQ(hello.code(), StatusCode::kInvalidArgument) << hello.ToString();
   h.net->Stop();
+  EXPECT_EQ(h.net->protocol_errors(), 1);
+}
+
+TEST(NetServerTest, BackendServerRefusesQueryClientHello) {
+  BackendServer backend;
+  ASSERT_TRUE(backend.Start().ok());
+  Result<Socket> conn = ConnectTcp("127.0.0.1", backend.port());
+  ASSERT_TRUE(conn.ok());
+  FrameDecoder decoder;
+  Status hello =
+      ClientHello(&conn.value(), &decoder, WireRole::kQueryClient, 1000);
+  EXPECT_EQ(hello.code(), StatusCode::kInvalidArgument) << hello.ToString();
+  EXPECT_NE(hello.message().find("expected a backend client hello"),
+            std::string::npos)
+      << hello.ToString();
+  backend.Stop();
+}
+
+TEST(NetServerTest, IdleConnectionIsClosedAfterIdleTimeout) {
+  Result<Scenario> scenario = MakeMovieScenario();
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  QueryServer server(scenario.value().registry);
+  NetServerOptions options;
+  options.idle_timeout_ms = 50;
+  NetServer net(&server, options);
+  ASSERT_TRUE(net.Start().ok());
+
+  FrameDecoder decoder;
+  Socket conn = RawHello(net.port(), &decoder);
+  // Send nothing after the hello: the server's timed read expires and it
+  // hangs up, so this read sees EOF long before its own 5 s bound.
+  Result<Frame> frame = RecvFrame(&conn, &decoder, 5000);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kUnavailable)
+      << frame.status().ToString();
+  net.Stop();
+  EXPECT_EQ(net.connections_accepted(), 1);
+  EXPECT_EQ(net.protocol_errors(), 0);
 }
 
 TEST(NetServerTest, DrainRefusesNewConnectionsAndFlagsLateQueries) {
@@ -353,24 +384,54 @@ TEST(NetServerTest, DrainRefusesNewConnectionsAndFlagsLateQueries) {
   EXPECT_FALSE(h.net->running());
 }
 
+/// The lifecycle every daemon on the shared listener core keeps: a second
+/// `Start` fails without binding, and `Stop` is idempotent.
+template <typename Daemon>
+void ExpectStopIsIdempotent(Daemon* daemon) {
+  EXPECT_GT(daemon->port(), 0);
+  EXPECT_EQ(daemon->Start().code(), StatusCode::kAlreadyExists);
+  daemon->Stop();
+  daemon->Stop();
+}
+
 TEST(NetServerTest, StopIsIdempotentAndStartRebindsAfterStop) {
   Harness h = MakeHarness();
-  uint16_t port = h.net->port();
-  EXPECT_GT(port, 0);
-  h.net->Stop();
-  h.net->Stop();  // idempotent
+  BackendServer backend;
+  ChaosProxy proxy("127.0.0.1", h.net->port(), ChaosOptions{});
+  ASSERT_TRUE(backend.Start().ok());
+  ASSERT_TRUE(proxy.Start().ok());
+  ExpectStopIsIdempotent(h.net.get());
+  ExpectStopIsIdempotent(&backend);
+  ExpectStopIsIdempotent(&proxy);
   EXPECT_FALSE(h.net->running());
+  EXPECT_FALSE(backend.running());
+
   // The QueryServer behind a stopped front end has been drained, and the
-  // drain is irreversible: a fresh front end on a fresh server still works.
-  QueryServer fresh(h.scenario.registry, h.server->options());
+  // drain is irreversible: fresh instances on fresh ports still work. One
+  // query crosses all three: proxy -> front end -> remote backend.
+  BackendServer backend2;
+  backend2.ExposeRegistry(*h.scenario.registry);
+  ASSERT_TRUE(backend2.Start().ok());
+  Result<std::shared_ptr<ServiceRegistry>> remote =
+      MakeRemoteRegistry(*h.scenario.registry, "127.0.0.1", backend2.port());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  QueryServer fresh(remote.value(), h.server->options());
   NetServer net2(&fresh);
   ASSERT_TRUE(net2.Start().ok());
-  Result<NetClient> client = NetClient::Connect("127.0.0.1", net2.port());
-  ASSERT_TRUE(client.ok());
+  ChaosProxy proxy2("127.0.0.1", net2.port(), ChaosOptions{});
+  ASSERT_TRUE(proxy2.Start().ok());
+  Result<NetClient> client = NetClient::Connect("127.0.0.1", proxy2.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
   Result<WireResponse> wire = client.value().Roundtrip(1, h.Request());
-  ASSERT_TRUE(wire.ok());
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
   EXPECT_EQ(wire.value().status, WireStatus::kOk);
+  client.value().Goodbye();
+  proxy2.Stop();
   net2.Stop();
+  EXPECT_GT(backend2.calls_served(), 0);
+  // An inert proxy still plans (and so counts) every connection.
+  EXPECT_EQ(proxy2.stats().connections_planned, 1);
+  EXPECT_EQ(proxy2.stats().total_faults(), 0);
 }
 
 }  // namespace

@@ -283,6 +283,24 @@ TEST(AnswerBodyTest, WallClockFieldsDoNotAffectTheBody) {
   EXPECT_EQ(EncodeAnswerBody(a), EncodeAnswerBody(b));
 }
 
+TEST(AnswerBodyTest, ScheduleDependentLossFieldsDoNotAffectTheBody) {
+  // Which request declared a service lost races speculation against the
+  // demand path; only the set of lost interfaces is deterministic.
+  QueryResponse a = SampleExecutionResponse();
+  QueryResponse b = SampleExecutionResponse();
+  ServiceLostEvent& lost = b.execution.reliability.services_lost[0];
+  lost.ordinal = 7;
+  lost.reason = "deadline exceeded";
+  lost.breaker_open = false;
+  EXPECT_EQ(EncodeAnswerBody(a), EncodeAnswerBody(b));
+
+  Result<QueryResponse> back = DecodeAnswerBody(EncodeAnswerBody(b));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back.value().execution.reliability.services_lost.size(), 1u);
+  EXPECT_EQ(back.value().execution.reliability.services_lost[0].interface_name,
+            "Theatre11");
+}
+
 TEST(AnswerBodyTest, StreamingResponseRoundTrips) {
   QueryResponse response;
   response.outcome = ServedOutcome::kCompleted;
